@@ -360,7 +360,6 @@ class CaseRunner:
                 outcome.record = record
                 outcome.line = line
                 outcome.elapsed_s = elapsed
-                tracer.count("exec.completed")
                 metrics.inc("exec.completed", **labels)
                 metrics.observe("exec.case_seconds", elapsed, **labels)
                 _LOG.debug(
@@ -377,20 +376,16 @@ class CaseRunner:
             )
             if failure["kind"] == FAIL_TIMEOUT:
                 outcome.timeouts += 1
-                tracer.count("exec.timeouts")
                 metrics.inc("exec.timeouts", **labels)
             elif failure["kind"] == FAIL_CRASH:
                 outcome.crashes += 1
-                tracer.count("exec.crashes")
                 metrics.inc("exec.crashes", **labels)
             if attempt < cfg.retries:
                 outcome.retries += 1
-                tracer.count("exec.retries")
                 metrics.inc("exec.retries", **labels)
                 self._sleep(self.backoff_s(attempt))
         with store_lock or _NULL_LOCK:
             outcome.line = store.append_quarantine(case, outcome.failures)
-        tracer.count("exec.quarantined")
         metrics.inc("exec.quarantined", **labels)
         _LOG.warn(
             "case.quarantined", fingerprint=case.fingerprint,
@@ -562,10 +557,9 @@ class SuiteExecutor:
         (only line order varies with the schedule).
         """
         cfg = self.config
-        tracer = current_tracer()
-        # Tracer counters cover one traced invocation; the process-global
-        # registry accumulates across the whole sweep with per-case labels
-        # (dumped by ``repro metrics`` / scraped as Prometheus text).
+        # The process-global registry accumulates across the whole sweep
+        # with per-case labels (dumped by ``repro metrics`` / scraped as
+        # Prometheus text).
         metrics = get_metrics()
         done = (
             self.store.load().completed()
@@ -577,7 +571,6 @@ class SuiteExecutor:
         for case in self.shard_cases():
             if case.fingerprint in done:
                 report.skipped.append(case.fingerprint)
-                tracer.count("exec.skipped")
                 metrics.inc(
                     "exec.skipped", kernel=case.kernel, fmt=case.fmt,
                     platform=case.platform,

@@ -550,6 +550,7 @@ def _cmd_trace(args) -> int:
         Tracer,
         analyze,
         flame_summary,
+        get_metrics,
         merge_traces,
         save_chrome,
         write_jsonl,
@@ -672,6 +673,13 @@ def _cmd_trace(args) -> int:
     )
     print()
     print(stats.render())
+    # One CLI run is one process, so the registry holds exactly this run.
+    counters = get_metrics().counter_totals()
+    if counters:
+        print()
+        print("counter rollups (metrics registry)")
+        for name, total in counters.items():
+            print(f"  {name:<28} {total:>16,.1f}")
     if attribution is not None:
         print()
         print(

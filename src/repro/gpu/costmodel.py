@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.obs.registry import get_metrics
 from repro.obs.tracer import CAT_GPU, current_tracer
 from repro.parallel.partition import makespan
 from repro.gpu.device import DeviceSpec
@@ -131,12 +132,21 @@ def combine(
     """Assemble the launch breakdown (memory, atomics and address phases
     overlap imperfectly; we charge memory plus the exposed serial parts)."""
     total = device.launch_overhead_s + mem_s + atomic_s + address_s
+    occupancy = min(1.0, nblocks / max(1, device.max_concurrent_blocks))
+    # The launch never executes on real silicon, so the telemetry records
+    # the *model's* verdict: counters an Mttkrp sweep can roll up across
+    # launches, plus one instant marker per launch when tracing.
+    metrics = get_metrics()
+    metrics.inc("gpu.launches")
+    metrics.inc("gpu.modeled_s", total)
+    metrics.inc("gpu.memory_s", mem_s)
+    metrics.inc("gpu.atomic_s", atomic_s)
+    metrics.inc("gpu.address_s", address_s)
+    metrics.inc("gpu.blocks", nblocks)
+    metrics.set_gauge("gpu.occupancy", occupancy)
+    metrics.set_gauge("gpu.imbalance", imbalance)
     tracer = current_tracer()
     if tracer.enabled:
-        # The launch never executes on real silicon, so the trace records
-        # the *model's* verdict: one instant marker per launch plus
-        # counters an Mttkrp sweep can roll up across launches.
-        occupancy = min(1.0, nblocks / max(1, device.max_concurrent_blocks))
         tracer.instant(
             "gpu_launch", cat=CAT_GPU, device=device.name,
             modeled_s=total, memory_s=mem_s, atomic_s=atomic_s,
@@ -144,14 +154,6 @@ def combine(
             occupancy=occupancy, cache_resident=resident,
             effective_bw_gbs=bw,
         )
-        tracer.count("gpu.launches")
-        tracer.count("gpu.modeled_s", total)
-        tracer.count("gpu.memory_s", mem_s)
-        tracer.count("gpu.atomic_s", atomic_s)
-        tracer.count("gpu.address_s", address_s)
-        tracer.count("gpu.blocks", nblocks)
-        tracer.gauge("gpu.occupancy", occupancy)
-        tracer.gauge("gpu.imbalance", imbalance)
     return KernelTiming(
         total_s=total,
         memory_s=mem_s,

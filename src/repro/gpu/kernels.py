@@ -23,7 +23,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.types import OpKind
-from repro.obs.tracer import current_tracer
+from repro.obs.registry import get_metrics
 from repro.kernels.mttkrp import coo_mttkrp, hicoo_mttkrp
 from repro.kernels.tew import coo_tew, hicoo_tew
 from repro.kernels.ts import coo_ts, hicoo_ts
@@ -194,10 +194,9 @@ def _mttkrp_atomics(device, rows: np.ndarray, r: int, kw: dict):
     if method in ("owner", "sort"):
         return 0.0, 1.0
     contention = _mttkrp_contention(rows)
-    tracer = current_tracer()
-    if tracer.enabled:
-        tracer.count("gpu.atomics_issued", float(len(rows)) * r)
-        tracer.gauge("gpu.atomic_conflict_depth", contention)
+    metrics = get_metrics()
+    metrics.inc("gpu.atomics_issued", len(rows) * r)
+    metrics.set_gauge("gpu.atomic_conflict_depth", contention)
     return atomic_time(device, len(rows) * r, contention), contention
 
 

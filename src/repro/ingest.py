@@ -545,9 +545,10 @@ class IngestBench:
             if bid >= cfg.window:
                 self._blocker.evict(bid - cfg.window)
             self._next_bid = bid + 1
-            nnz = self._window.state.nnz
+            # Set under the sequencing lock so the last write is the
+            # last batch's level, whichever worker applied it.
+            metrics.set_gauge("ingest.window_nnz", self._window.state.nnz)
             self._apply_cond.notify_all()
-        metrics.set_gauge("ingest.window_nnz", nnz)
         return True
 
     def _fail(self, exc: BaseException) -> None:

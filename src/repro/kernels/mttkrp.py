@@ -43,6 +43,7 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.types import Schedule
 from repro.compiled import resolve_tier, run_mttkrp
+from repro.obs.registry import get_metrics
 from repro.obs.tracer import CAT_KERNEL, current_tracer
 from repro.kernels.contract import Access, declares_output
 from repro.parallel.atomic import atomic_add_rows, sorted_reduce_rows
@@ -137,6 +138,17 @@ def _row_contributions(
         else:
             contrib *= rows
     return contrib
+
+
+def _count_mttkrp(nnz: int, r: int, method: str) -> None:
+    """Add one Mttkrp call's work to the ``kernel.*`` registry counters."""
+    metrics = get_metrics()
+    metrics.inc("kernel.nnz_processed", nnz)
+    metrics.inc("kernel.flops", 3.0 * nnz * r)
+    if method == "atomic":
+        # The model charges the paper's algorithm: one scatter-add per
+        # (entry, rank column), whatever privatization executes it.
+        metrics.inc("kernel.atomics_issued", nnz * r)
 
 
 def _scatter_add_parallel(
@@ -291,14 +303,8 @@ def coo_mttkrp(
         tier, backend=backend, kernel="mttkrp", fmt="coo", method=method,
         nnz=x.nnz, r=r,
     )
+    _count_mttkrp(x.nnz, r, method)
     tracer = current_tracer()
-    if tracer.enabled:
-        tracer.count("kernel.nnz_processed", float(x.nnz))
-        tracer.count("kernel.flops", 3.0 * x.nnz * r)
-        if method == "atomic":
-            # The model charges the paper's algorithm: one scatter-add per
-            # (entry, rank column), whatever privatization executes it.
-            tracer.count("kernel.atomics_issued", float(x.nnz) * r)
     with tracer.span(
         "mttkrp", cat=CAT_KERNEL, fmt="coo", mode=mode, method=method,
         backend=backend.name, nnz=x.nnz, rank=r, tier=exec_tier,
@@ -375,12 +381,8 @@ def hicoo_mttkrp(
         tier, backend=backend, kernel="mttkrp", fmt="hicoo", method=method,
         nnz=x.nnz, r=r,
     )
+    _count_mttkrp(x.nnz, r, method)
     tracer = current_tracer()
-    if tracer.enabled:
-        tracer.count("kernel.nnz_processed", float(x.nnz))
-        tracer.count("kernel.flops", 3.0 * x.nnz * r)
-        if method == "atomic":
-            tracer.count("kernel.atomics_issued", float(x.nnz) * r)
     with tracer.span(
         "mttkrp", cat=CAT_KERNEL, fmt="hicoo", mode=mode, method=method,
         backend=backend.name, nnz=x.nnz, rank=r, nblocks=x.nblocks,

@@ -17,6 +17,7 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.types import Schedule
 from repro.compiled import resolve_tier, run_fiber_reduce
+from repro.obs.registry import get_metrics
 from repro.obs.tracer import CAT_KERNEL, current_tracer
 from repro.kernels.contract import Access, declares_output
 from repro.parallel.backend import Backend, get_backend
@@ -83,11 +84,11 @@ def fiber_reduce(
         starts = (fptr[flo:fhi] - fptr[flo]).astype(np.int64)
         out[flo:fhi] = np.add.reduceat(seg, starts, axis=0)
 
-    if tracer.enabled:
-        tracer.count("kernel.nnz_processed", float(nnz))
-        # One multiply (gathered operand scale) and one add per entry and
-        # rank column — Ttv has one column, Ttm has R.
-        tracer.count("kernel.flops", 2.0 * nnz * ncols)
+    metrics = get_metrics()
+    metrics.inc("kernel.nnz_processed", nnz)
+    # One multiply (gathered operand scale) and one add per entry and
+    # rank column — Ttv has one column, Ttm has R.
+    metrics.inc("kernel.flops", 2.0 * nnz * ncols)
 
     # Different fibers write disjoint output entries — the contract the
     # race-check backend verifies on every replayed decomposition.

@@ -1,9 +1,15 @@
-"""Observability layer: span tracing, counters, and trace analytics.
+"""Observability layer: span tracing, a metrics registry, and analytics.
 
-Enable with ``Tracer().install()`` (or ``with Tracer() as t: ...``); the
-backends, scatter-add workspaces, GPU cost model, and kernels feed the
-installed tracer automatically.  Disabled (the default), every
-instrumentation site costs one branch on the process-global null tracer.
+One telemetry model, two stores with disjoint jobs:
+
+* **spans** — enable with ``Tracer().install()`` (or ``with Tracer() as
+  t: ...``); the backends, kernels, GPU cost model and executor record
+  timed spans and instants into the installed tracer.  Disabled (the
+  default), every span site costs one branch on the process-global null
+  tracer.
+* **counters and gauges** — always on, written to the process-global
+  :class:`MetricsRegistry` (:func:`get_metrics`) with labels, and dumped
+  as Prometheus text or JSON (``repro metrics``, ``sweep --metrics``).
 """
 
 from repro.obs.analytics import (
@@ -11,7 +17,6 @@ from repro.obs.analytics import (
     WorkerStats,
     analyze,
     imbalance_factor,
-    rollup_gauges,
     worker_busy,
 )
 from repro.obs.attribution import (
@@ -96,7 +101,6 @@ __all__ = [
     "analyze",
     "worker_busy",
     "imbalance_factor",
-    "rollup_gauges",
     "RooflineAttribution",
     "attribute",
     "attach_to_trace",

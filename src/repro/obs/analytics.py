@@ -14,16 +14,16 @@ backends record:
   of the region's worker-seconds actually spent in chunk bodies;
 * **critical-path estimate** — the busiest worker's chunk time plus the
   wall clock spent outside any parallel region (serial pre/post
-  processing): a lower bound on the traced interval at infinite width;
-* **counter rollups** — every counter summed across workers; gauges roll
-  up **max-per-worker, then summed across slot workers**
-  (:func:`rollup_gauges`), so a byte gauge re-set across regions
-  contributes each arena's peak exactly once.
+  processing): a lower bound on the traced interval at infinite width.
+
+Counts (non-zeros processed, flops, workspace checkouts, modeled GPU
+launches) are not part of the trace: they live in the metrics registry
+(:func:`repro.obs.registry.get_metrics`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.obs.tracer import CAT_CHUNK, CAT_REGION, Trace
 
@@ -55,8 +55,6 @@ class TraceStats:
     chunk_imbalance: float
     busy_frac: float
     critical_path_s: float
-    counters: dict = field(default_factory=dict)
-    gauges: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         """JSON-friendly form for ``PerfRecord.extra`` / result files."""
@@ -70,8 +68,6 @@ class TraceStats:
             "busy_frac": self.busy_frac,
             "critical_path_s": self.critical_path_s,
             "busy_per_worker": {w.worker: w.busy_s for w in self.per_worker},
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
         }
 
     def render(self) -> str:
@@ -91,13 +87,6 @@ class TraceStats:
         lines.append(f"chunk imbalance     {self.chunk_imbalance:.3f}  (max/mean chunk time)")
         lines.append(f"busy fraction       {self.busy_frac:.1%}  of {self.nworkers} worker(s) x wall")
         lines.append(f"critical path est.  {self.critical_path_s:.6f} s")
-        if self.counters:
-            lines.append("")
-            lines.append("counter rollups (summed across workers)")
-            for name in sorted(self.counters):
-                lines.append(f"  {name:<28} {self.counters[name]:>16,.1f}")
-        for name in sorted(self.gauges):
-            lines.append(f"  {name:<28} {self.gauges[name]:>16,.1f} (gauge)")
         return "\n".join(lines)
 
 
@@ -131,35 +120,8 @@ def _merged_duration(intervals) -> float:
     return total
 
 
-def rollup_gauges(trace: Trace) -> dict:
-    """Roll each gauge up as **max per worker, then sum across workers**.
-
-    A gauge is a level, not a flow: a worker that sets ``ws.arena_bytes``
-    in every region re-states its *current* arena size, it does not
-    allocate a fresh arena each time.  Summing last-values per worker is
-    right (each slot owns one arena), but summing every observation — or
-    summing last-values after a region shrank some arenas — double-counts
-    or under-counts the high-water footprint.  The rule here: take each
-    worker's **peak** observation (``Trace.gauge_peaks``, falling back to
-    the last value for hand-built traces), then sum across workers, so
-    the rollup is the aggregate high-water level across the pool.
-    """
-    out: dict[str, float] = {}
-    names = set(trace.gauges) | set(trace.gauge_peaks)
-    for name in names:
-        last = trace.gauges.get(name, {})
-        peaks = dict(last)
-        peaks.update(trace.gauge_peaks.get(name, {}))
-        out[name] = float(sum(peaks.values()))
-    return out
-
-
 def analyze(trace: Trace) -> TraceStats:
-    """Fold chunk spans and counters into :class:`TraceStats`.
-
-    Counters are summed across workers; gauges use the
-    max-per-worker-then-sum rule of :func:`rollup_gauges`.
-    """
+    """Fold chunk and region spans into :class:`TraceStats`."""
     chunks = trace.spans(CAT_CHUNK)
     busy = worker_busy(trace)
     per_worker = []
@@ -187,10 +149,6 @@ def analyze(trace: Trace) -> TraceStats:
     )
     serial_s = max(0.0, wall - region_s)
     critical = max(busy.values(), default=0.0) + serial_s
-    counters = {
-        name: float(sum(per.values())) for name, per in trace.counters.items()
-    }
-    gauges = rollup_gauges(trace)
     return TraceStats(
         wall_s=wall,
         nworkers=nworkers,
@@ -201,6 +159,4 @@ def analyze(trace: Trace) -> TraceStats:
         chunk_imbalance=chunk_imb,
         busy_frac=(total_busy / (nworkers * wall)) if wall > 0 else 0.0,
         critical_path_s=critical,
-        counters=counters,
-        gauges=gauges,
     )

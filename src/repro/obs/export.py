@@ -3,9 +3,11 @@
 The Chrome format is the JSON-array-of-events schema understood by
 Perfetto (https://ui.perfetto.dev) and ``chrome://tracing``: complete
 spans are ``"ph": "X"`` events with microsecond ``ts``/``dur``, instant
-markers are ``"ph": "i"``, per-worker counter totals are ``"ph": "C"``
-samples, and ``"ph": "M"`` metadata names each worker's timeline row.
-Timestamps are rebased to the trace start so the viewer opens at zero.
+markers are ``"ph": "i"``, and ``"ph": "M"`` metadata names each
+worker's timeline row.  Timestamps are rebased to the trace start so the
+viewer opens at zero.  Counters are not trace events: they live in the
+metrics registry and export as Prometheus text or JSON
+(:mod:`repro.obs.registry`).
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from typing import IO
 
 from repro.obs.tracer import Trace
 
-#: Schema version stamped into exported traces' ``otherData``.
-CHROME_TRACE_VERSION = 1
+#: Schema version stamped into exported traces' ``otherData``.  Version 2
+#: dropped the ``"C"`` counter events.
+CHROME_TRACE_VERSION = 2
 
 
 def chrome_trace(trace: Trace) -> dict:
@@ -40,17 +43,6 @@ def chrome_trace(trace: Trace) -> dict:
         else:
             record["dur"] = round((e.t1 - e.t0) * 1e6, 3)
         events.append(record)
-    end_ts = round(trace.wall_s * 1e6, 3)
-    for name, per_worker in sorted(trace.counters.items()):
-        for worker, value in sorted(per_worker.items()):
-            events.append({
-                "name": name,
-                "ph": "C",
-                "ts": end_ts,
-                "pid": 0,
-                "tid": tid_of.get(worker, 0),
-                "args": {"value": value},
-            })
     meta = [
         {
             "name": "thread_name",
@@ -164,19 +156,6 @@ def merge_traces(
             span_id = e.attrs.get("span_id")
             if span_id and span_id not in span_index:
                 span_index[str(span_id)] = (pid, e.tid, record["ts"])
-        end_ts = ts(
-            max((e.t1 for e in trace.events), default=0.0), trace
-        ) if trace.events else 0.0
-        for name, per_worker in sorted(trace.counters.items()):
-            for worker, value in sorted(per_worker.items()):
-                events.append({
-                    "name": name,
-                    "ph": "C",
-                    "ts": end_ts,
-                    "pid": pid,
-                    "tid": tid_of.get(worker, 0),
-                    "args": {"value": value},
-                })
         meta_events.extend(
             {
                 "name": "thread_name",
@@ -256,7 +235,7 @@ def load_chrome(path: str) -> dict:
 
 
 def write_jsonl(trace: Trace, fileobj: "IO[str] | str") -> None:
-    """One JSON object per event (plus one trailer with counters/meta)."""
+    """One JSON object per event (plus one trailer with the trace meta)."""
     own = isinstance(fileobj, str)
     f = open(fileobj, "w") if own else fileobj
     try:
@@ -274,11 +253,7 @@ def write_jsonl(trace: Trace, fileobj: "IO[str] | str") -> None:
                 "attrs": e.attrs,
                 "instant": e.instant,
             }) + "\n")
-        f.write(json.dumps({
-            "counters": trace.counters,
-            "gauges": trace.gauges,
-            "meta": trace.meta,
-        }) + "\n")
+        f.write(json.dumps({"meta": trace.meta}) + "\n")
     finally:
         if own:
             f.close()

@@ -1,28 +1,28 @@
 """Process-global, slot-aware metrics registry with Prometheus export.
 
-Traces answer "what happened inside *this* kernel invocation"; a
-long-running sweep needs the orthogonal view — monotonically growing
+Traces answer "what happened inside *this* kernel invocation" and hold
+spans only; every count and level lives here — monotonically growing
 counters, level gauges and latency histograms that survive across cases
-and can be scraped or dumped while the sweep is still running.  This
-module is that substrate:
+and can be scraped or dumped while a sweep is still running:
 
 * :class:`MetricsRegistry` — counters, gauges and histograms, each with
   a **label set** (``kernel="mttkrp", fmt="hicoo"``), Prometheus style.
-  Writes are **slot-aware**: every metric value is sharded into
-  per-worker cells keyed by the backend worker slot executing the write
-  (:func:`repro.parallel.slots.current_slot`), falling back to the OS
-  thread, so concurrent increments from backend chunks never contend on
-  one cell; readers aggregate cells on export.
+  Counter and histogram writes are **slot-aware**: each value is sharded
+  into per-worker cells keyed by the backend worker slot executing the
+  write (:func:`repro.parallel.slots.current_slot`), falling back to the
+  OS thread, so concurrent increments from the chunks of one backend
+  never contend on one cell; readers sum cells on export.  Slots are
+  unique only within one backend, so code that runs inside chunk bodies
+  (the workspace pool) tallies locally and writes from the caller thread.
+  A gauge is a level, so it keeps one value per label set and the last
+  write wins.
 * exporters — :meth:`MetricsRegistry.render_prometheus` (text
   exposition format) and :meth:`MetricsRegistry.as_dict` (JSON), both
   deterministic (sorted names and label sets) so goldens can pin them.
-* :meth:`MetricsRegistry.absorb_trace` — folds a frozen
-  :class:`~repro.obs.tracer.Trace`'s counters and gauges into the
-  registry, which is how the tracer's per-kernel counters feed the
-  process-wide view.
 * a process-global default (:func:`get_metrics` / :func:`set_metrics`)
-  fed by the sweep executor and the suite runner, dumped by the
-  ``repro metrics`` CLI.
+  written unconditionally by the kernels, the workspace pool, the GPU
+  cost model, the executor, ingestion and the serve daemon, and dumped
+  by the ``repro metrics`` CLI.
 """
 
 from __future__ import annotations
@@ -50,6 +50,11 @@ def _cell_key() -> tuple:
     if slot is not None:
         return ("slot", int(slot))
     return ("tid", threading.get_ident())
+
+
+#: The single cell of every gauge series: levels are not summed across
+#: workers, so a gauge set from several workers keeps the last write.
+_GAUGE_CELL = ("gauge",)
 
 
 def _label_key(labels: dict) -> tuple:
@@ -139,9 +144,9 @@ class MetricsRegistry:
         cells[key] = cells.get(key, 0.0) + float(value)
 
     def set_gauge(self, name: str, value: float, **labels) -> None:
-        """Set the gauge's last-observed value for this worker cell."""
+        """Set the gauge for this label set; the last write wins."""
         cells = self._cells(self._metric(name, GAUGE), labels)
-        cells[_cell_key()] = float(value)
+        cells[_GAUGE_CELL] = float(value)
 
     def observe(self, name: str, value: float, buckets=None, **labels) -> None:
         """Record one observation into the histogram ``name``.
@@ -172,22 +177,7 @@ class MetricsRegistry:
                 )
         recent.append(value)
 
-    # -- trace ingestion ----------------------------------------------- #
-    def absorb_trace(self, trace, **labels) -> None:
-        """Fold a frozen trace's counters/gauges into the registry.
-
-        Counter totals (summed across workers) increment counters of the
-        same name; gauges enter at their max-per-slot-then-sum rollup
-        (see :func:`repro.obs.analytics.rollup_gauges`).  ``labels``
-        (e.g. ``kernel=..., fmt=...``) tag every absorbed series.
-        """
-        from repro.obs.analytics import rollup_gauges
-
-        for name in sorted(trace.counters):
-            self.inc(name, trace.counter_total(name), **labels)
-        for name, value in sorted(rollup_gauges(trace).items()):
-            self.set_gauge(name, value, **labels)
-
+    # -- cross-process ingestion --------------------------------------- #
     def absorb_dict(self, dump: dict, **labels) -> None:
         """Fold another registry's :meth:`as_dict` export into this one.
 
@@ -249,9 +239,7 @@ class MetricsRegistry:
                     for i, v in enumerate(cell):
                         agg[i] += v
                 out[lk] = agg
-            elif metric.kind == COUNTER:
-                out[lk] = float(sum(cells.values()))
-            else:  # gauge: sum of per-cell levels (one level per worker)
+            else:  # counter: sum of per-worker cells; gauge: its one cell
                 out[lk] = float(sum(cells.values()))
         return out
 

@@ -1,4 +1,4 @@
-"""Span-based tracing and counters for the parallel execution stack.
+"""Span-based tracing for the parallel execution stack.
 
 The paper's observations are *explanations* of kernel time — which worker
 ran which chunk, how long, how many scatter updates collided — yet a
@@ -6,8 +6,8 @@ benchmark that only reports end-to-end seconds cannot support them.  This
 module records that missing structure:
 
 * :class:`Tracer` — nestable wall-clock **spans**
-  (``with tracer.span("mttkrp", fmt="coo", mode=0): ...``) and named
-  **counters**/**gauges**, buffered *per worker*: events land in the
+  (``with tracer.span("mttkrp", fmt="coo", mode=0): ...``) and instant
+  markers, buffered *per worker*: events land in the
   buffer of the backend worker slot executing them
   (:func:`repro.parallel.slots.current_slot`), falling back to a
   per-OS-thread buffer outside backend chunks.  A worker slot is held
@@ -25,7 +25,8 @@ module records that missing structure:
 
 The recorded trace freezes into an immutable :class:`Trace` for the
 analytics (:mod:`repro.obs.analytics`) and exporters
-(:mod:`repro.obs.export`).
+(:mod:`repro.obs.export`).  The tracer records spans only: counters and
+gauges live in the metrics registry (:mod:`repro.obs.registry`).
 """
 
 from __future__ import annotations
@@ -87,19 +88,13 @@ class SpanEvent:
 
 
 class _WorkerBuffer:
-    """Events and counter totals of one worker (slot or plain thread)."""
+    """Events of one worker (slot or plain thread)."""
 
-    __slots__ = ("key", "events", "counters", "gauges", "gauge_peaks")
+    __slots__ = ("key", "events")
 
     def __init__(self, key: tuple):
         self.key = key
         self.events: list[SpanEvent] = []
-        self.counters: dict[str, float] = {}
-        self.gauges: dict[str, float] = {}
-        #: High-water mark of every gauge this worker ever set — a gauge
-        #: re-set across regions keeps its peak here even though
-        #: ``gauges`` only retains the last value.
-        self.gauge_peaks: dict[str, float] = {}
 
 
 class _Span:
@@ -147,22 +142,15 @@ class _Span:
 
 @dataclass(frozen=True)
 class Trace:
-    """An immutable snapshot of everything a :class:`Tracer` recorded.
+    """An immutable snapshot of the spans a :class:`Tracer` recorded.
 
-    ``counters``/``gauges`` map ``name -> {worker_label: value}``; events
-    are sorted by start time with ``worker``/``tid`` resolved (slot ``n``
-    becomes ``worker-n`` with Chrome tid ``n``; non-slot threads become
-    ``thread-i`` with tids starting at :data:`EXTERNAL_TID_BASE`).
-    ``gauges`` holds each worker's *last* observation; ``gauge_peaks``
-    holds the per-worker high-water mark across the whole recording
-    (what the analytics roll up for byte gauges re-set across regions).
+    Events are sorted by start time with ``worker``/``tid`` resolved (slot
+    ``n`` becomes ``worker-n`` with Chrome tid ``n``; non-slot threads
+    become ``thread-i`` with tids starting at :data:`EXTERNAL_TID_BASE`).
     """
 
     events: tuple
-    counters: dict
-    gauges: dict
     meta: dict = field(default_factory=dict)
-    gauge_peaks: dict = field(default_factory=dict)
     #: Traces adopted from other processes (worker subprocesses) — kept
     #: separate rather than merged, so exporters can assign per-process
     #: pids and timelines (:func:`repro.obs.export.merge_traces`).
@@ -191,19 +179,12 @@ class Trace:
             if not e.instant and (cat is None or e.cat == cat)
         ]
 
-    def counter_total(self, name: str) -> float:
-        """One counter summed across workers (0.0 if never bumped)."""
-        return float(sum(self.counters.get(name, {}).values()))
-
     @property
     def workers(self) -> list:
         """Worker labels observed in the trace, slot workers first."""
         seen: dict[str, None] = {}
         for e in self.events:
             seen.setdefault(e.worker)
-        for per in list(self.counters.values()) + list(self.gauges.values()):
-            for w in per:
-                seen.setdefault(w)
         return sorted(seen, key=lambda w: (not w.startswith("worker-"), w))
 
     # -- wire form (worker verdict JSON) ------------------------------- #
@@ -231,9 +212,6 @@ class Trace:
                 }
                 for e in self.events
             ],
-            "counters": {k: dict(v) for k, v in self.counters.items()},
-            "gauges": {k: dict(v) for k, v in self.gauges.items()},
-            "gauge_peaks": {k: dict(v) for k, v in self.gauge_peaks.items()},
             "meta": dict(self.meta),
             "epoch_offset_s": self.epoch_offset_s,
             "children": [c.to_dict() for c in self.children],
@@ -259,12 +237,7 @@ class Trace:
         )
         return cls(
             events=events,
-            counters={k: dict(v) for k, v in data.get("counters", {}).items()},
-            gauges={k: dict(v) for k, v in data.get("gauges", {}).items()},
             meta=dict(data.get("meta", {})),
-            gauge_peaks={
-                k: dict(v) for k, v in data.get("gauge_peaks", {}).items()
-            },
             children=tuple(
                 cls.from_dict(c) for c in data.get("children", ())
             ),
@@ -277,12 +250,12 @@ EXTERNAL_TID_BASE = 1000
 
 
 class Tracer:
-    """Collects spans and counters; install process-wide to enable.
+    """Collects spans; install process-wide to enable.
 
     >>> tracer = Tracer()
     >>> with tracer:                    # install() / uninstall()
     ...     with tracer.span("work", cat="kernel", mode=0):
-    ...         tracer.count("nnz", 128)
+    ...         tracer.annotate(nnz=128)
     >>> trace = tracer.freeze()
     >>> [s.name for s in trace.spans()]
     ['work']
@@ -359,25 +332,6 @@ class Tracer:
         if stack:
             stack[-1].attrs.update(attrs)
 
-    def count(self, name: str, value: float = 1.0) -> None:
-        """Add ``value`` to this worker's total for counter ``name``."""
-        counters = self._buffer().counters
-        counters[name] = counters.get(name, 0.0) + value
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set this worker's last-observed value for gauge ``name``.
-
-        The per-worker high-water mark is tracked alongside, so a gauge
-        re-set across regions (an arena shrinking between kernels) still
-        reports its true peak through :attr:`Trace.gauge_peaks`.
-        """
-        buf = self._buffer()
-        value = float(value)
-        buf.gauges[name] = value
-        peak = buf.gauge_peaks.get(name)
-        if peak is None or value > peak:
-            buf.gauge_peaks[name] = value
-
     def adopt(self, trace: Trace) -> None:
         """Attach a frozen trace from another process as a child.
 
@@ -410,7 +364,7 @@ class Tracer:
         self.uninstall()
 
     def clear(self) -> None:
-        """Drop all recorded events and counter totals."""
+        """Drop all recorded events."""
         with self._lock:
             self._buffers.clear()
 
@@ -432,27 +386,15 @@ class Tracer:
         for i, key in enumerate(sorted(thread_keys, key=lambda k: k[1])):
             labels[key] = (f"thread-{i}", EXTERNAL_TID_BASE + i)
         events: list[SpanEvent] = []
-        counters: dict[str, dict[str, float]] = {}
-        gauges: dict[str, dict[str, float]] = {}
-        gauge_peaks: dict[str, dict[str, float]] = {}
         for buf in buffers:
             label, tid = labels[buf.key]
             for e in buf.events:
                 e.worker, e.tid = label, tid
                 events.append(e)
-            for name, value in buf.counters.items():
-                counters.setdefault(name, {})[label] = value
-            for name, value in buf.gauges.items():
-                gauges.setdefault(name, {})[label] = value
-            for name, value in buf.gauge_peaks.items():
-                gauge_peaks.setdefault(name, {})[label] = value
         events.sort(key=lambda e: (e.t0, e.t1))
         return Trace(
             events=tuple(events),
-            counters=counters,
-            gauges=gauges,
             meta=dict(self.meta),
-            gauge_peaks=gauge_peaks,
             children=children,
             epoch_offset_s=self._epoch_offset_s,
         )
@@ -480,12 +422,6 @@ class NullTracer:
         pass
 
     def annotate(self, **attrs) -> None:
-        pass
-
-    def count(self, name: str, value: float = 1.0) -> None:
-        pass
-
-    def gauge(self, name: str, value: float) -> None:
         pass
 
 

@@ -31,6 +31,15 @@ by construction; leftover ident-keyed arenas of *dead* threads are adopted
 The hard invariant the per-chunk scheme violated: a pool never holds more
 than ``max_arenas`` (= the backend's thread count) buffers, regardless of
 how many chunks the schedule produces or how many OS threads come and go.
+
+Counters
+--------
+``acquire()`` runs inside chunk bodies, where the worker slot of one
+backend can coincide with the slot of another backend running at the same
+time, so it never writes the metrics registry.  It tallies acquires and
+arena allocations under the pool lock instead, and ``reduce_into()`` /
+``reset()`` — called on the kernel's caller thread — publish the tally as
+``ws.acquire``, ``ws.arena_alloc`` and ``ws.arena_alloc_bytes``.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ import threading
 
 import numpy as np
 
-from repro.obs.tracer import current_tracer
+from repro.obs.registry import get_metrics
 from repro.parallel.slots import current_slot
 
 
@@ -62,7 +71,10 @@ class WorkspacePool:
     consumed.
     """
 
-    __slots__ = ("shape", "dtype", "max_arenas", "_arenas", "_lock", "_consumed")
+    __slots__ = (
+        "shape", "dtype", "max_arenas", "_arenas", "_lock", "_consumed",
+        "_acquires", "_allocs", "_alloc_bytes",
+    )
 
     def __init__(self, shape, dtype, max_arenas: int = 1):
         self.shape = tuple(int(s) for s in shape)
@@ -71,6 +83,10 @@ class WorkspacePool:
         self._arenas: dict[tuple, np.ndarray] = {}
         self._lock = threading.Lock()
         self._consumed = False
+        # Tally not yet published to the metrics registry.
+        self._acquires = 0
+        self._allocs = 0
+        self._alloc_bytes = 0
 
     @property
     def narenas(self) -> int:
@@ -107,8 +123,6 @@ class WorkspacePool:
         allocation.
         """
         key = self._key()
-        tracer = current_tracer()
-        allocated = False
         with self._lock:
             if self._consumed:
                 raise RuntimeError(
@@ -127,14 +141,27 @@ class WorkspacePool:
                             f"max_arenas={self.max_arenas}"
                         )
                     buf = np.zeros(self.shape, dtype=self.dtype)
-                    allocated = True
+                    self._allocs += 1
+                    self._alloc_bytes += buf.nbytes
                 self._arenas[key] = buf
-        if tracer.enabled:
-            tracer.count("ws.acquire")
-            if allocated:
-                tracer.count("ws.arena_alloc")
-            tracer.gauge("ws.arena_bytes", buf.nbytes)
+            self._acquires += 1
         return buf
+
+    def _take_tally(self) -> tuple:
+        """The unpublished ``(acquires, allocs, alloc_bytes)``, zeroed
+        (lock held by caller)."""
+        tally = (self._acquires, self._allocs, self._alloc_bytes)
+        self._acquires = self._allocs = self._alloc_bytes = 0
+        return tally
+
+    @staticmethod
+    def _publish(metrics, tally: tuple) -> None:
+        acquires, allocs, alloc_bytes = tally
+        if acquires:
+            metrics.inc("ws.acquire", acquires)
+        if allocs:
+            metrics.inc("ws.arena_alloc", allocs)
+            metrics.inc("ws.arena_alloc_bytes", alloc_bytes)
 
     def reduce_into(self, out: np.ndarray) -> None:
         """Fold every arena into ``out`` with a pairwise reduction tree.
@@ -152,10 +179,11 @@ class WorkspacePool:
                 )
             self._consumed = True
             bufs = list(self._arenas.values())
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.count("ws.reduce")
-            tracer.count("ws.reduce_arenas", len(bufs))
+            tally = self._take_tally()
+        metrics = get_metrics()
+        self._publish(metrics, tally)
+        metrics.inc("ws.reduce")
+        metrics.inc("ws.reduce_arenas", len(bufs))
         while len(bufs) > 1:
             nxt = []
             for i in range(0, len(bufs) - 1, 2):
@@ -172,8 +200,9 @@ class WorkspacePool:
         with self._lock:
             self._consumed = False
             bufs = list(self._arenas.values())
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.count("ws.reset")
+            tally = self._take_tally()
+        metrics = get_metrics()
+        self._publish(metrics, tally)
+        metrics.inc("ws.reset")
         for buf in bufs:
             buf[...] = 0

@@ -1,11 +1,23 @@
-"""Shared fixtures: deterministic random tensors of assorted shapes."""
+"""Shared fixtures: deterministic random tensors, a fresh metrics registry."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.obs import MetricsRegistry, set_metrics
 from repro.sptensor import COOTensor, HiCOOTensor
+
+
+@pytest.fixture
+def registry():
+    """A fresh process-global metrics registry for one test."""
+    mine = MetricsRegistry()
+    prev = set_metrics(mine)
+    try:
+        yield mine
+    finally:
+        set_metrics(prev)
 
 
 @pytest.fixture

@@ -528,7 +528,7 @@ class TestProcessIsolation:
 
 
 class TestObservability:
-    def test_executor_counters_and_case_spans(self, tmp_path):
+    def test_executor_counters_and_case_spans(self, tmp_path, registry):
         from repro.obs import CAT_CASE, Tracer
 
         cases = tiny_cases(names=("ok", "flaky"))
@@ -540,10 +540,11 @@ class TestObservability:
             ).run()
             inline(store, cases, resume=True).run()
         trace = tracer.freeze()
-        assert trace.counter_total("exec.completed") == 2
-        assert trace.counter_total("exec.retries") == 1
-        assert trace.counter_total("exec.skipped") == 2
-        assert trace.counter_total("exec.quarantined") == 0
+        totals = registry.counter_totals(prefix="exec.")
+        assert totals["exec.completed"] == 2
+        assert totals["exec.retries"] == 1
+        assert totals["exec.skipped"] == 2
+        assert "exec.quarantined" not in totals
         case_spans = trace.spans(CAT_CASE)
         assert len(case_spans) == 3  # ok, flaky attempt 0, flaky attempt 1
         attempts = sorted(
@@ -551,20 +552,16 @@ class TestObservability:
         )
         assert attempts == [("flaky", 0), ("flaky", 1), ("ok", 0)]
 
-    def test_quarantine_counters(self, tmp_path):
-        from repro.obs import Tracer
-
+    def test_quarantine_counters(self, tmp_path, registry):
         store = RunStore(tmp_path / "run.jsonl")
-        tracer = Tracer()
-        with tracer:
-            inline(
-                store, tiny_cases(), retries=2,
-                faults={"tiny": {"fail_attempts": 99}},
-            ).run()
-        trace = tracer.freeze()
-        assert trace.counter_total("exec.quarantined") == 1
-        assert trace.counter_total("exec.retries") == 2
-        assert trace.counter_total("exec.completed") == 0
+        inline(
+            store, tiny_cases(), retries=2,
+            faults={"tiny": {"fail_attempts": 99}},
+        ).run()
+        totals = registry.counter_totals(prefix="exec.")
+        assert totals["exec.quarantined"] == 1
+        assert totals["exec.retries"] == 2
+        assert "exec.completed" not in totals
 
 
 class TestSeedDerivation:

@@ -282,7 +282,6 @@ def traced() -> dict:
     with tracer:
         with tracer.span("outer", cat="kernel", mode=1):
             tracer.instant("tick", cat="kernel")
-            tracer.count("nnz", 64)
     return chrome_trace(tracer.freeze())
 
 
@@ -292,7 +291,7 @@ class TestChromeTraceSchema:
         assert set(doc) == {"traceEvents", "displayTimeUnit", "otherData"}
         assert doc["displayTimeUnit"] == "ms"
         assert doc["otherData"]["exporter"] == "repro.obs"
-        assert doc["otherData"]["version"] == CHROME_TRACE_VERSION
+        assert doc["otherData"]["version"] == CHROME_TRACE_VERSION == 2
         assert doc["otherData"]["suite"] == "golden"
 
     def test_event_phases_and_keys(self):
@@ -300,7 +299,7 @@ class TestChromeTraceSchema:
         by_ph = {}
         for e in events:
             by_ph.setdefault(e["ph"], []).append(e)
-        assert set(by_ph) == {"M", "X", "i", "C"}
+        assert set(by_ph) == {"M", "X", "i"}
 
         (span,) = by_ph["X"]
         assert set(span) == {"name", "cat", "ph", "ts", "pid", "tid", "args", "dur"}
@@ -310,11 +309,6 @@ class TestChromeTraceSchema:
         (instant,) = by_ph["i"]
         assert set(instant) == {"name", "cat", "ph", "ts", "pid", "tid", "args", "s"}
         assert instant["s"] == "t"
-
-        (counter,) = by_ph["C"]
-        assert set(counter) == {"name", "ph", "ts", "pid", "tid", "args"}
-        assert counter["name"] == "nnz"
-        assert counter["args"] == {"value": 64}
 
         (meta,) = by_ph["M"]
         assert set(meta) == {"name", "ph", "pid", "tid", "args"}

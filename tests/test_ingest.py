@@ -168,6 +168,12 @@ class TestConcurrentIngest:
         assert "ingest_batches" in text
         assert "ingest_events" in text
 
+    def test_window_nnz_gauge_is_the_window_not_a_worker_sum(self, registry):
+        # Four workers each set the gauge; the registry must report the
+        # window's one level, not the sum of each worker's last value.
+        result = IngestBench(IngestConfig(workers=4, events=60_000)).run()
+        assert registry.gauge_value("ingest.window_nnz") == result.window_nnz
+
 
 class TestWindowBlocker:
     def _batches(self, shape, n, seed=0):

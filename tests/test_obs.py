@@ -81,17 +81,10 @@ class TestTracerSpans:
         (span,) = tracer.freeze().spans()
         assert span.attrs["error"] == "ValueError"
 
-    def test_counters_gauges_and_instants(self):
+    def test_instants(self):
         tracer = Tracer()
-        tracer.count("nnz", 10)
-        tracer.count("nnz", 5)
-        tracer.gauge("bytes", 64)
-        tracer.gauge("bytes", 128)  # gauge keeps the last value
         tracer.instant("launch", cat="gpu", nblocks=3)
         trace = tracer.freeze()
-        assert trace.counter_total("nnz") == 15.0
-        assert trace.counter_total("missing") == 0.0
-        assert list(trace.gauges["bytes"].values()) == [128.0]
         (ev,) = [e for e in trace.events if e.instant]
         assert ev.name == "launch" and ev.t0 == ev.t1
         assert ev.attrs == {"nblocks": 3}
@@ -99,10 +92,9 @@ class TestTracerSpans:
     def test_clear_drops_everything(self):
         tracer = Tracer()
         with tracer.span("work"):
-            tracer.count("c")
+            tracer.instant("tick")
         tracer.clear()
-        trace = tracer.freeze()
-        assert trace.events == () and trace.counters == {}
+        assert tracer.freeze().events == ()
 
 
 class TestInstall:
@@ -124,8 +116,6 @@ class TestInstall:
         assert null.span("a") is null.span("b", cat="chunk", x=1)
         with null.span("a"):
             pass
-        null.count("c", 5)
-        null.gauge("g", 1)
         null.instant("i")
         null.annotate(x=1)
 
@@ -168,22 +158,71 @@ class TestConcurrentBuffers:
         assert [r.name for r in regions] == ["parallel_for"]
         assert regions[0].attrs["schedule"] == "dynamic"
 
-    def test_per_slot_buffer_counters_stay_separate(self):
+    def test_per_slot_buffer_counters_stay_separate(self, registry):
         backend = OpenMPBackend(nthreads=2)
-        tracer = Tracer()
 
         def body(lo, hi):
-            tracer.count("iters", hi - lo)
+            registry.inc("iters", hi - lo)
 
         try:
-            with tracer:
-                backend.parallel_for(100, body, schedule="static")
+            backend.parallel_for(100, body, schedule="static")
         finally:
             backend.shutdown()
-        trace = tracer.freeze()
-        assert trace.counter_total("iters") == 100.0
-        for worker in trace.counters["iters"]:
-            assert worker.startswith("worker-")
+        assert registry.counter_value("iters") == 100.0
+        # Backend chunks write slot-keyed cells, never the caller thread's.
+        (cells,) = registry._metrics["iters"].series.values()
+        assert cells and all(key[0] == "slot" for key in cells)
+
+
+class TestWorkspaceCounters:
+    def test_slot_sharing_direct_callers_count_exactly(self, registry):
+        # Caller-thread execution binds slot 0 on every calling thread, so
+        # concurrent direct callers share a registry cell key.  A per-acquire
+        # registry write would lose increments here; the pool tallies under
+        # its lock and publishes once per reduce/reset instead.
+        import sys
+
+        from repro.parallel import WorkspacePool
+        from repro.parallel.slots import bound_slot
+
+        n = 50_000
+
+        def direct_caller():
+            pool = WorkspacePool((4,), np.float64, max_arenas=1)
+            with bound_slot(0):
+                for _ in range(n):
+                    pool.acquire()
+            pool.reduce_into(np.zeros(4))
+            pool.reset()
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force thread switches mid-update
+        try:
+            threads = [threading.Thread(target=direct_caller) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(old)
+        assert registry.counter_value("ws.acquire") == 2 * n
+        assert registry.counter_value("ws.arena_alloc") == 2
+        assert registry.counter_value("ws.arena_alloc_bytes") == 2 * 4 * 8
+        assert registry.counter_value("ws.reduce") == 2
+        assert registry.counter_value("ws.reset") == 2
+
+    def test_tally_published_at_reset_without_reduce(self, registry):
+        from repro.parallel import WorkspacePool
+
+        pool = WorkspacePool((3,), np.float64, max_arenas=2)
+        pool.acquire()
+        pool.acquire()
+        assert registry.counter_value("ws.acquire") == 0.0  # not yet published
+        pool.reset()
+        assert registry.counter_value("ws.acquire") == 2.0
+        assert registry.counter_value("ws.arena_alloc") == 1.0
+        pool.reset()  # nothing new to publish
+        assert registry.counter_value("ws.acquire") == 2.0
 
 
 class TestAnalytics:
@@ -199,7 +238,7 @@ class TestAnalytics:
             _chunk(1.0, 2.0, 0),
             _chunk(0.0, 1.0, 1),
         )
-        return Trace(events=events, counters={}, gauges={})
+        return Trace(events=events)
 
     def test_imbalance_on_hand_built_trace(self):
         stats = analyze(self._hand_built())
@@ -240,9 +279,7 @@ class TestExport:
         try:
             with tracer:
                 with tracer.span("kernel", cat=CAT_KERNEL, fmt="coo"):
-                    backend.parallel_for(
-                        64, lambda lo, hi: tracer.count("iters", hi - lo)
-                    )
+                    backend.parallel_for(64, lambda lo, hi: None)
         finally:
             backend.shutdown()
         return tracer.freeze()
@@ -261,7 +298,7 @@ class TestExport:
             assert c["args"]["slot"] >= 0
             assert c["tid"] == c["args"]["slot"]
             assert c["ts"] >= 0 and c["dur"] >= 0
-        assert any(e["ph"] == "C" and e["name"] == "iters" for e in events)
+        assert {e["ph"] for e in events} <= {"M", "X", "i"}
         names = [e for e in events if e["ph"] == "M"]
         assert {m["args"]["name"] for m in names} >= {"worker-0"}
 
@@ -277,19 +314,18 @@ class TestExport:
         write_jsonl(trace, path)
         lines = [json.loads(l) for l in open(path)]
         assert len(lines) == len(trace.events) + 1
-        assert lines[-1]["meta"] == {"note": "test"}
-        assert lines[-1]["counters"]["iters"]
+        assert lines[-1] == {"meta": {"note": "test"}}
         assert all("t0_s" in l for l in lines[:-1])
 
     def test_flame_summary_folds_paths(self):
         trace = self._traced_run()
         text = flame_summary(trace)
         assert "chunk" in text and "kernel" in text
-        assert flame_summary(Trace((), {}, {})) == "(no spans recorded)"
+        assert flame_summary(Trace(())) == "(no spans recorded)"
 
 
 class TestKernelIntegration:
-    def test_traced_mttkrp_emits_spans_and_counters(self):
+    def test_traced_mttkrp_emits_spans_and_counters(self, registry):
         from repro.generate import powerlaw_tensor
         from repro.kernels import coo_mttkrp
 
@@ -310,8 +346,72 @@ class TestKernelIntegration:
         assert len(kernels) == 1
         assert kernels[0].attrs["nnz"] == x.nnz
         assert trace.spans(CAT_CHUNK)
-        assert trace.counter_total("kernel.nnz_processed") == float(x.nnz)
-        assert trace.counter_total("kernel.flops") == pytest.approx(3.0 * x.nnz * 4)
+        # Two calls (traced + reference), counted alike in the registry.
+        assert registry.counter_value("kernel.nnz_processed") == 2.0 * x.nnz
+        assert registry.counter_value("kernel.flops") == pytest.approx(
+            2 * 3.0 * x.nnz * 4
+        )
+
+    def test_untraced_mttkrp_still_counts(self, registry):
+        from repro.generate import powerlaw_tensor
+        from repro.kernels import coo_mttkrp
+
+        x = powerlaw_tensor((80, 60, 10), nnz=2000, seed=5).sort()
+        rng = np.random.default_rng(0)
+        mats = [rng.random((s, 4)).astype(np.float32) for s in x.shape]
+        assert current_tracer() is NULL_TRACER
+        coo_mttkrp(x, mats, 0)
+        assert registry.counter_value("kernel.nnz_processed") == float(x.nnz)
+        assert registry.counter_value("kernel.flops") == pytest.approx(
+            3.0 * x.nnz * 4
+        )
+
+    def test_concurrent_backends_count_workspace_exactly(self, registry):
+        # Each calling thread drives its own backend, and every backend
+        # leases worker slots from 0, so chunks of the two backends share
+        # slot numbers.  ws.* counts must not be lost to that: they are
+        # tallied under the pool lock and published from the caller thread.
+        import sys
+
+        from repro.generate import powerlaw_tensor
+        from repro.kernels import coo_mttkrp
+
+        x = powerlaw_tensor((40, 30, 8), nnz=2000, seed=3).sort()
+        rng = np.random.default_rng(1)
+        mats = [rng.random((s, 2)) for s in x.shape]
+
+        def calls(n):
+            backend = OpenMPBackend(nthreads=2, default_chunk=16)
+            try:
+                for _ in range(n):
+                    coo_mttkrp(x, mats, 0, backend, method="atomic",
+                               schedule="dynamic", tier="numpy")
+            finally:
+                backend.shutdown()
+
+        calls(1)
+        per_call = registry.counter_value("ws.acquire")
+        assert per_call == 2000 / 16  # one acquire per dynamic chunk
+        registry.clear()
+
+        ncalls, nthreads = 20, 2
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force thread switches mid-update
+        try:
+            threads = [
+                threading.Thread(target=calls, args=(ncalls,))
+                for _ in range(nthreads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(old)
+        total = ncalls * nthreads
+        assert registry.counter_value("ws.acquire") == total * per_call
+        assert registry.counter_value("ws.reduce") == total
+        assert registry.counter_value("kernel.nnz_processed") == total * x.nnz
 
     def test_disabled_tracer_records_nothing(self):
         from repro.generate import powerlaw_tensor
@@ -324,7 +424,7 @@ class TestKernelIntegration:
         assert probe.freeze().events == ()
         assert current_tracer() is NULL_TRACER
 
-    def test_gpu_costmodel_emits_launch_instants(self):
+    def test_gpu_costmodel_emits_launch_instants(self, registry):
         from repro.generate import powerlaw_tensor
         from repro.gpu.device import DeviceSpec
         from repro.gpu.kernels import gpu_coo_mttkrp
@@ -341,12 +441,12 @@ class TestKernelIntegration:
         trace = tracer.freeze()
         launches = [e for e in trace.events if e.name == "gpu_launch"]
         assert launches and all(e.instant for e in launches)
-        assert trace.counter_total("gpu.launches") == len(launches)
-        assert trace.counter_total("gpu.atomics_issued") > 0
+        assert registry.counter_value("gpu.launches") == len(launches)
+        assert registry.counter_value("gpu.atomics_issued") > 0
 
 
 class TestRunnerTrace:
-    def test_runner_attaches_obs_analytics(self):
+    def test_runner_attaches_obs_analytics(self, registry):
         from repro.bench.runner import RunnerConfig, SuiteRunner
         from repro.generate import powerlaw_tensor
         from repro.roofline import PLATFORMS
@@ -362,48 +462,6 @@ class TestRunnerTrace:
         obs = rec.extra["obs"]
         assert obs["imbalance"] >= 1.0
         assert 0.0 <= obs["busy_frac"] <= 1.0
-        assert obs["counters"]["kernel.nnz_processed"] > 0
+        assert "counters" not in obs
+        assert registry.counter_value("kernel.nnz_processed") > 0
         assert current_tracer() is NULL_TRACER
-
-
-class TestGaugeRollup:
-    def test_tracer_tracks_gauge_peaks(self):
-        tracer = Tracer()
-        tracer.gauge("bytes", 256)
-        tracer.gauge("bytes", 64)  # re-set lower: last wins, peak stays
-        trace = tracer.freeze()
-        assert list(trace.gauges["bytes"].values()) == [64.0]
-        assert list(trace.gauge_peaks["bytes"].values()) == [256.0]
-
-    def test_rollup_is_max_per_worker_then_sum(self):
-        from repro.obs import rollup_gauges
-
-        # Two workers, each re-setting the gauge across "regions": the
-        # rollup must sum each worker's peak, not the per-observation sum
-        # (which double-counts) nor the shrunken last values.
-        trace = Trace(
-            events=(),
-            counters={},
-            gauges={"ws.arena_bytes": {"worker-0": 100.0, "worker-1": 50.0}},
-            gauge_peaks={"ws.arena_bytes": {"worker-0": 400.0, "worker-1": 300.0}},
-        )
-        assert rollup_gauges(trace) == {"ws.arena_bytes": 700.0}
-        assert analyze(trace).gauges == {"ws.arena_bytes": 700.0}
-
-    def test_rollup_falls_back_to_last_values(self):
-        from repro.obs import rollup_gauges
-
-        # Hand-built traces (and old snapshots) carry no peaks: the last
-        # values stand in, preserving the one-arena-per-slot sum.
-        trace = Trace(
-            events=(), counters={},
-            gauges={"g": {"worker-0": 10.0, "worker-1": 20.0}},
-        )
-        assert rollup_gauges(trace) == {"g": 30.0}
-
-    def test_analyze_uses_peaks_not_last_values(self):
-        tracer = Tracer()
-        tracer.gauge("ws.arena_bytes", 4096)
-        tracer.gauge("ws.arena_bytes", 1024)  # arena shrank between regions
-        stats = analyze(tracer.freeze())
-        assert stats.gauges["ws.arena_bytes"] == 4096.0

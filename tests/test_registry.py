@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from repro.obs import MetricsRegistry, Tracer, get_metrics, set_metrics
+from repro.obs import MetricsRegistry, get_metrics, set_metrics
 from repro.obs.registry import MetricsError
 
 
@@ -26,11 +26,24 @@ class TestCountersAndGauges:
         reg.inc("c", fmt="coo", kernel="ttv")
         assert reg.counter_value("c", fmt="coo", kernel="ttv") == 2.0
 
-    def test_gauge_keeps_last_value_per_cell(self):
+    def test_gauge_last_write_wins_across_threads(self):
         reg = MetricsRegistry()
         reg.set_gauge("level", 5.0, pool="a")
         reg.set_gauge("level", 3.0, pool="a")
         assert reg.gauge_value("level", pool="a") == 3.0
+        # A level set from several threads is one level, not a sum of
+        # per-thread last values.
+        for value in (7.0, 4.0):
+            t = threading.Thread(
+                target=reg.set_gauge, args=("level", value), kwargs={"pool": "a"}
+            )
+            t.start()
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert reg.gauge_value("level", pool="a") == 4.0
+        assert reg.as_dict()["gauges"]["level"] == [
+            {"labels": {"pool": "a"}, "value": 4.0}
+        ]
 
     def test_kind_clash_raises(self):
         reg = MetricsRegistry()
@@ -126,18 +139,6 @@ class TestExporters:
         reg = self._populated()
         reg.clear()
         assert reg.as_dict()["counters"] == {}
-
-
-class TestTraceAbsorption:
-    def test_absorb_trace_counters_and_gauge_peaks(self):
-        tracer = Tracer()
-        tracer.count("kernel.nnz", 100)
-        tracer.gauge("arena", 512.0)
-        tracer.gauge("arena", 128.0)  # shrank: peak must survive
-        reg = MetricsRegistry()
-        reg.absorb_trace(tracer.freeze(), kernel="ttv", fmt="coo")
-        assert reg.counter_value("kernel.nnz", kernel="ttv", fmt="coo") == 100.0
-        assert reg.gauge_value("arena", kernel="ttv", fmt="coo") == 512.0
 
 
 class TestGlobalRegistry:
