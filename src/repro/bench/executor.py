@@ -11,9 +11,13 @@ execution layer that fixes that:
   a stable fingerprint with an RNG seed derived from that fingerprint;
 * cases partition into shards by ``index % shards``, so ``N`` parallel
   invocations cover the sweep disjointly;
-* each case runs in an isolated worker subprocess
-  (:mod:`repro.bench.worker`) under a per-case timeout; a hang is
-  killed, a crash is contained;
+* each case attempt runs in an isolated worker process under a
+  per-attempt deadline; a hang is killed, a crash is contained.  The
+  workers are long-lived (:mod:`repro.bench.worker`): a process-wide
+  pool (:mod:`repro.bench.pool`) hands each attempt to an idle one over
+  a line-framed stdin/stdout protocol, and each worker keeps prepared
+  tensors resident between cases, so a case no longer pays for an
+  interpreter, its imports and its tensor's preparation;
 * failed cases retry with exponential backoff, and cases that exhaust
   their retries are **quarantined** with their failure log instead of
   aborting the sweep;
@@ -31,11 +35,6 @@ its worker for the first ``n`` attempts, deterministically.
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -51,7 +50,6 @@ from repro.bench.runner import (
 from repro.bench.runstore import RunStore
 from repro.metrics.perf import PerfRecord
 from repro.obs.context import (
-    TRACE_ENV,
     TraceContext,
     activate_context,
     current_context,
@@ -82,7 +80,9 @@ class ExecutorConfig:
 
     shards: int = 1
     shard_index: int = 0
-    #: Wall-clock budget per case *attempt*, subprocess start included.
+    #: Wall-clock budget per case *attempt* with process isolation, from
+    #: handing the case to a pooled worker to its verdict (a freshly
+    #: spawned worker's interpreter start and imports included).
     timeout_s: float = 120.0
     #: Re-attempts after the first failure (0 = fail straight to
     #: quarantine).
@@ -91,8 +91,8 @@ class ExecutorConfig:
     backoff_max_s: float = 2.0
     #: Skip cases whose fingerprint already has a record in the store.
     resume: bool = False
-    #: ``"process"`` runs each case in a worker subprocess (timeouts and
-    #: crashes contained); ``"inline"`` runs in-process — fast, used by
+    #: ``"process"`` runs each case in a pooled worker process (timeouts
+    #: and crashes contained); ``"inline"`` runs in-process — fast, used by
     #: tests and trusted local sweeps, but a hang or hard crash is not
     #: contained.
     isolation: str = "process"
@@ -215,8 +215,14 @@ def _inject_chaos_failure(case: SweepCase, attempt: int) -> None:
     raise ExecutorError("chaos injection with failure_rate=1.0 did not raise")
 
 
+def prepare_bundle(case: SweepCase) -> TensorBundle:
+    """Materialize the case's tensor and prepare it for the kernels."""
+    tensor = materialize_tensor(case.tensor_spec)
+    return TensorBundle.prepare(case.tensor, tensor, case.runner_config())
+
+
 def execute_case(
-    case: SweepCase, attempt: int = 0, faults: "dict | None" = None
+    case: SweepCase, attempt: int = 0, faults: "dict | None" = None, prepare=None
 ) -> PerfRecord:
     """Run one case to a :class:`PerfRecord` (the worker's core).
 
@@ -224,6 +230,9 @@ def execute_case(
     into retry/quarantine decisions.  Injected ``fail_attempts`` faults
     raise :class:`~repro.parallel.chaos.ChaosError` here, through a real
     chaos backend, so the retry path is exercised end to end.
+    ``prepare`` maps the case to its :class:`TensorBundle`; it defaults
+    to :func:`prepare_bundle`, and a pooled worker passes its bundle
+    cache's lookup.
     """
     fault = match_fault(case, faults)
     if attempt < int(fault.get("fail_attempts", 0)):
@@ -233,10 +242,8 @@ def execute_case(
         time.sleep(delay_s)  # injected straggler: slow, not failing
     from repro.roofline.platform import get_platform
 
-    config = case.runner_config()
-    runner = SuiteRunner(get_platform(case.platform), config)
-    tensor = materialize_tensor(case.tensor_spec)
-    bundle = TensorBundle.prepare(case.tensor, tensor, config)
+    runner = SuiteRunner(get_platform(case.platform), case.runner_config())
+    bundle = (prepare or prepare_bundle)(case)
     return runner.run_kernel(bundle, case.kernel, case.fmt)
 
 
@@ -421,57 +428,18 @@ class CaseRunner:
             }
 
     def _process_attempt(self, case: SweepCase, attempt: int, context=None):
-        import repro
+        from repro.bench.pool import WorkerCrash, WorkerTimeout, get_pool
 
         cfg = self.config
-        with tempfile.TemporaryDirectory(prefix="repro-sweep-") as tmp:
-            case_path = os.path.join(tmp, "case.json")
-            verdict_path = os.path.join(tmp, "verdict.json")
-            payload = {
-                "case": case.to_dict(),
-                "attempt": attempt,
-                "faults": cfg.faults,
-            }
-            if context is not None:
-                payload["trace"] = context.to_dict()
-            with open(case_path, "w") as f:
-                json.dump(payload, f)
-            # The worker must import this very repro package regardless of
-            # how the parent found it.
-            pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-            env = dict(os.environ)
-            env["PYTHONPATH"] = pkg_root + (
-                os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-            )
-            if context is not None:
-                env[TRACE_ENV] = context.to_env()
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "repro.bench.worker", case_path, verdict_path],
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                env=env,
-                text=True,
-            )
-            try:
-                _, stderr = proc.communicate(timeout=cfg.timeout_s)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.communicate()
-                return None, {
-                    "kind": FAIL_TIMEOUT,
-                    "attempt": attempt,
-                    "detail": f"worker exceeded {cfg.timeout_s:g}s; killed",
-                }
-            if proc.returncode != 0 or not os.path.exists(verdict_path):
-                tail = (stderr or "").strip()[-400:]
-                return None, {
-                    "kind": FAIL_CRASH,
-                    "attempt": attempt,
-                    "detail": f"worker exit {proc.returncode} without verdict"
-                    + (f": {tail}" if tail else ""),
-                }
-            with open(verdict_path) as f:
-                verdict = json.load(f)
+        payload = {"case": case.to_dict(), "attempt": attempt, "faults": cfg.faults}
+        if context is not None:
+            payload["trace"] = context.to_dict()
+        try:
+            verdict = get_pool().run(payload, cfg.timeout_s)
+        except WorkerTimeout as exc:
+            return None, {"kind": FAIL_TIMEOUT, "attempt": attempt, "detail": str(exc)}
+        except WorkerCrash as exc:
+            return None, {"kind": FAIL_CRASH, "attempt": attempt, "detail": str(exc)}
         self._absorb_verdict(verdict)
         if verdict.get("ok"):
             return PerfRecord.from_dict(verdict["record"]), None

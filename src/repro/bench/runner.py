@@ -21,7 +21,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -158,14 +158,23 @@ class RunnerConfig:
 
 @dataclass
 class TensorBundle:
-    """One tensor prepared in every representation the sweep needs."""
+    """One tensor prepared in every representation the sweep needs.
+
+    The random Ttv/Ttm/Mttkrp operands (:attr:`vectors`,
+    :attr:`matrices`) are drawn on first use: a modeled CPU case reads
+    only :attr:`features`, and for a tensor with a long mode the factor
+    matrices outweigh the tensor itself.  Drawing them later draws the
+    same values.
+    """
 
     name: str
     coo: COOTensor
     hicoo: HiCOOTensor
     features: TensorFeatures
-    vectors: list  # one per mode
-    matrices: list  # one per mode, (I_m, R)
+    rank: int
+    #: Seed of the operand RNG.
+    operand_seed: int
+    _operands: "tuple | None" = field(default=None, repr=False, compare=False)
 
     @classmethod
     def prepare(
@@ -177,18 +186,41 @@ class TensorBundle:
         # Vectors/matrices are seeded from (config.seed, tensor name), not
         # from a shared RNG, so a bundle's random operands are identical
         # whether the tensor is first, last, or alone in a sweep.
-        rng = rng_from_seed(derive_case_seed(config.seed, "bundle", name))
         coo = tensor.copy().sort()
         hicoo = HiCOOTensor.from_coo(coo, config.block_size)
         feats = extract_features(coo, name, config.block_size, hicoo)
-        vectors = [
-            rng.random(s).astype(np.float32) for s in coo.shape
-        ]
-        matrices = [
-            rng.random((s, config.rank)).astype(np.float32)
-            for s in coo.shape
-        ]
-        return cls(name, coo, hicoo, feats, vectors, matrices)
+        seed = derive_case_seed(config.seed, "bundle", name)
+        return cls(name, coo, hicoo, feats, config.rank, seed)
+
+    @property
+    def vectors(self) -> list:
+        """One float32 vector per mode."""
+        return self._draw_operands()[0]
+
+    @property
+    def matrices(self) -> list:
+        """One float32 ``(I_m, rank)`` matrix per mode."""
+        return self._draw_operands()[1]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the prepared arrays, the operands once drawn."""
+        coo, hicoo = self.coo, self.hicoo
+        arrays = [coo.indices, coo.values, hicoo.bptr, hicoo.binds, hicoo.einds, hicoo.values]
+        if self._operands is not None:
+            arrays += self._operands[0] + self._operands[1]
+        return sum(a.nbytes for a in arrays)
+
+    def _draw_operands(self) -> tuple:
+        if self._operands is None:
+            rng = rng_from_seed(self.operand_seed)
+            vectors = [rng.random(s).astype(np.float32) for s in self.coo.shape]
+            matrices = [
+                rng.random((s, self.rank)).astype(np.float32)
+                for s in self.coo.shape
+            ]
+            self._operands = (vectors, matrices)
+        return self._operands
 
 
 @dataclass(frozen=True)

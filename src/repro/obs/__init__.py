@@ -29,7 +29,6 @@ from repro.obs.attribution import (
     effective_bandwidth_gbs,
 )
 from repro.obs.context import (
-    TRACE_ENV,
     ContextError,
     TraceContext,
     activate_context,
@@ -88,7 +87,6 @@ __all__ = [
     "CAT_SCHED",
     "TraceContext",
     "ContextError",
-    "TRACE_ENV",
     "new_trace_id",
     "derive_span_id",
     "current_context",

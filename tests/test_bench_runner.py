@@ -133,6 +133,25 @@ class TestSeeding:
         for key, record in solo.items():
             assert forward[key] == record
 
+    def test_operands_drawn_on_first_use_match_an_eager_draw(self, tensor):
+        from repro.util.prng import rng_from_seed
+
+        cfg = RunnerConfig(measure_host=False)
+        bundle = TensorBundle.prepare("a", tensor, cfg)
+        bare = bundle.nbytes
+        # A modeled CPU case reads only the features: nothing is drawn.
+        SuiteRunner(BLUESKY, cfg).run_kernel(bundle, Kernel.MTTKRP, Format.COO)
+        assert bundle.nbytes == bare
+        rng = rng_from_seed(derive_case_seed(cfg.seed, "bundle", "a"))
+        vectors = [rng.random(s).astype(np.float32) for s in tensor.shape]
+        matrices = [rng.random((s, cfg.rank)).astype(np.float32) for s in tensor.shape]
+        # Matrices first: the draw order is fixed however they are read.
+        for got, want in zip(bundle.matrices, matrices):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(bundle.vectors, vectors):
+            np.testing.assert_array_equal(got, want)
+        assert bundle.nbytes == bare + sum(a.nbytes for a in vectors + matrices)
+
 
 class TestReports:
     def test_table1_report(self):

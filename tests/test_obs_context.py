@@ -26,7 +26,6 @@ from repro.obs import (
     set_metrics,
 )
 from repro.obs.context import (
-    TRACE_ENV,
     ContextError,
     TraceContext,
     activate_context,
@@ -62,16 +61,6 @@ class TestTraceContext:
         assert back.trace_id == "cafe"
         assert back.parent_span == "beef"
         assert dict(back.baggage) == {"op": "sweep"}
-
-    def test_round_trips_through_env(self):
-        ctx = TraceContext(trace_id="cafe", baggage={"k": "v"})
-        env = {TRACE_ENV: ctx.to_env()}
-        assert TraceContext.from_env(env) == ctx
-
-    def test_from_env_is_none_on_missing_or_garbage(self):
-        assert TraceContext.from_env({}) is None
-        assert TraceContext.from_env({TRACE_ENV: "not json"}) is None
-        assert TraceContext.from_env({TRACE_ENV: '{"trace_id": ""}'}) is None
 
     def test_empty_trace_id_rejected(self):
         with pytest.raises(ContextError):
@@ -273,35 +262,38 @@ class TestRegistryQuantiles:
 
 
 # ---------------------------------------------------------------------- #
-# Worker verdict telemetry (in-process worker.main)
+# Worker verdict telemetry (one long-lived worker process)
 # ---------------------------------------------------------------------- #
 
 
-def run_worker(tmp_path, payload):
-    from repro.bench import worker
+@pytest.fixture(scope="module")
+def worker():
+    from repro.bench.pool import PooledWorker, launch_key
 
-    case_json = tmp_path / "case.json"
-    verdict_json = tmp_path / "verdict.json"
-    case_json.write_text(json.dumps(payload))
-    assert worker.main([str(case_json), str(verdict_json)]) == 0
-    return json.loads(verdict_json.read_text())
+    proc = PooledWorker(launch_key())
+    yield proc
+    proc.kill()
 
 
+def run_worker(worker, payload):
+    return worker.call(payload, timeout_s=120.0)
+
+
+@pytest.mark.slow
 class TestWorkerVerdictTelemetry:
-    def test_untraced_verdict_is_unchanged(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(TRACE_ENV, raising=False)
+    def test_untraced_verdict_is_unchanged(self, worker):
         case = tiny_cases()[0]
-        verdict = run_worker(tmp_path, {"case": case.to_dict(), "attempt": 0})
+        verdict = run_worker(worker, {"case": case.to_dict(), "attempt": 0})
         assert verdict["ok"] is True
         assert set(verdict) == {
             "ok", "fingerprint", "seed", "record", "elapsed_s"
         }
 
-    def test_traced_verdict_carries_spans_and_metrics(self, tmp_path):
+    def test_traced_verdict_carries_spans_and_metrics(self, worker):
         case = tiny_cases()[0]
         ctx = TraceContext(trace_id="cafe", parent_span="feed")
         verdict = run_worker(
-            tmp_path,
+            worker,
             {"case": case.to_dict(), "attempt": 0, "trace": ctx.to_dict()},
         )
         assert verdict["ok"] is True
@@ -316,12 +308,40 @@ class TestWorkerVerdictTelemetry:
         assert any(s.name.startswith("run.") for s in kernel_spans)
         assert isinstance(verdict["metrics"], dict)
 
-    def test_env_context_reaches_worker(self, tmp_path, monkeypatch):
-        case = tiny_cases()[0]
-        ctx = TraceContext(trace_id="feed")
-        monkeypatch.setenv(TRACE_ENV, ctx.to_env())
-        verdict = run_worker(tmp_path, {"case": case.to_dict(), "attempt": 0})
-        assert verdict["trace"]["meta"]["trace_id"] == "feed"
+    def test_reused_worker_isolates_telemetry_per_case(self, worker, registry):
+        from repro.bench import RunnerConfig, enumerate_cases, execute_case
+        from repro.types import Format, Kernel
+
+        # Host timing runs the real Ttv kernel, so every case writes
+        # kernel.* counters in the worker, traced or not.
+        cfg = RunnerConfig(kernels=(Kernel.TTV,), formats=(Format.COO,))
+        (case,) = enumerate_cases(
+            {"t": {"kind": "random", "shape": (30, 20, 10), "nnz": 300, "seed": 1}},
+            cfg, platforms=("Bluesky",),
+        )
+        traced = {
+            "case": case.to_dict(), "attempt": 0,
+            "trace": TraceContext(trace_id="cafe").to_dict(),
+        }
+        untraced = {"case": case.to_dict(), "attempt": 0}
+        first = run_worker(worker, traced)
+        plain = run_worker(worker, untraced)
+        second = run_worker(worker, traced)
+        assert set(plain) == {"ok", "fingerprint", "seed", "record", "elapsed_s"}
+
+        def nnz(verdict) -> float:
+            registry = MetricsRegistry()
+            registry.absorb_dict(verdict["metrics"])
+            return registry.counter_totals(prefix="kernel.")["kernel.nnz_processed"]
+
+        # Each dump counts exactly one case, as an inline run of it
+        # does, not the cases the worker ran before.
+        execute_case(case)
+        one_case = registry.counter_totals(prefix="kernel.")["kernel.nnz_processed"]
+        assert nnz(first) == nnz(second) == one_case > 0
+        assert [s.name for s in Trace.from_dict(first["trace"]).spans()] == [
+            s.name for s in Trace.from_dict(second["trace"]).spans()
+        ]
 
 
 # ---------------------------------------------------------------------- #
