@@ -1,34 +1,31 @@
-"""Hot-path harness: kernel × format × method × schedule × tier wall-clock.
+"""Hot-path harness: kernel × format × method × schedule wall-clock.
 
 Times the scatter-add kernels (Mttkrp on COO/HiCOO) and the fiber-parallel
 kernels (Ttv/Ttm) across update methods (``atomic`` with arena vs per-chunk
-privatization, ``sort``, ``owner``), schedules, backends, and execution
-tiers (``numpy`` vs ``compiled``), and writes ``BENCH_kernels.json`` at the
-repo root.  The JSON is committed so every PR has a perf trajectory to
-compare against:
+privatization, ``sort``, ``owner``), schedules and backends, and writes
+``BENCH_kernels.json`` at the repo root.  The JSON is committed so every
+PR has a perf trajectory to compare against:
 
     PYTHONPATH=src python benchmarks/bench_hotpaths.py            # full
     PYTHONPATH=src python benchmarks/bench_hotpaths.py --quick    # CI smoke
 
-Every entry carries a ``tier`` tag; the compiled-tier entries mirror the
-NumPy-tier identities cell for cell, so splitting the file by tier yields
-two regress-comparable baselines (the CI ``compiled-gate`` does exactly
-that).  One-time costs — Numba JIT compilation and fallback scatter-plan
-construction — land in warmup, are measured through
-:func:`repro.compiled.compile_stats`, and are reported separately as
-``compile_s`` per entry so ``median_s`` stays steady-state.  Each entry is
-also attributed against the Bluesky CPU roofline
-(``bound_fraction = achieved / min(peak, OI x ERT-DRAM)``).
+Sequential rows run the plan path and OpenMP rows the chunked loops (see
+``repro.kernels.plans``).  One-time plan construction lands in
+warmup; the ``plan.build_seconds`` registry delta around it is reported
+as ``compile_s`` per entry so ``median_s`` stays steady-state.  Each
+entry is also attributed against the Bluesky CPU roofline
+(``bound_fraction = achieved / min(peak, OI x ERT-DRAM)``), and carries
+``host_cpus``: a row with ``oversubscribed: true`` ran more threads than
+the host has CPUs, so it is not a scaling measurement.
 
 Invariants asserted and recorded under ``checks``:
 
 * the per-thread arena path beats the seed's per-chunk privatization on
-  COO-Mttkrp (NumPy tier, dynamic schedule, >= 4 threads);
+  COO-Mttkrp (dynamic schedule, >= 4 threads);
 * ``method="owner"`` is bit-identical to the sequential kernel;
-* the compiled tier is bit-identical to its NumPy-tier contract partners
-  (owner vs sequential, sort vs the NumPy sort tier);
-* the compiled tier is >= 2x faster than the NumPy tier on COO-Mttkrp for
-  at least one method (asserted at full size only).
+* the plan path is bit-identical to the chunked loops on COO/HiCOO
+  Mttkrp (every method), Ttv and Ttm (sequential backend vs a one-thread
+  chunk-order chaos backend).
 """
 
 from __future__ import annotations
@@ -41,13 +38,12 @@ import time
 
 import numpy as np
 
-from repro.compiled import available as compiled_available
-from repro.compiled import compile_stats
 from repro.generate import powerlaw_tensor
 from repro.kernels import coo_mttkrp, coo_ttm, coo_ttv, hicoo_mttkrp
 from repro.obs import Tracer, analyze, chrome_trace
 from repro.obs.attribution import attribute
-from repro.parallel import OpenMPBackend, get_backend
+from repro.obs.registry import get_metrics
+from repro.parallel import ChaosBackend, OpenMPBackend, get_backend
 from repro.roofline import BLUESKY, RooflineModel
 from repro.roofline.oi import cost_for, extract_features
 from repro.sptensor import HiCOOTensor
@@ -56,24 +52,22 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_kernels.json")
 RANK = 16
 BLOCK = 128
-TIERS = ("numpy", "compiled")
+HOST_CPUS = os.cpu_count() or 1
 
-#: Entry keys that are measurements; everything else is identity tags
-#: (must mirror ``repro.bench.regress._BENCH_VALUE_KEYS``).
-_VALUE_KEYS = {
-    "median_s", "min_s", "reps", "compile_s",
-    "imbalance", "busy_frac", "eff_bw_gbs", "bound_fraction",
-}
+
+def _plan_counter(name: str) -> float:
+    """Total of one ``plan.*`` registry counter over all its labels."""
+    return get_metrics().counter_totals(name).get(name, 0.0)
 
 
 def _time(fn, reps: int, warmup: int = 1) -> dict:
-    # One-time costs (Numba JIT compiles, fallback scatter-plan builds)
-    # land in warmup; the compile-stats delta around it is reported as
-    # compile_s so median_s measures only steady-state execution.
-    c0 = compile_stats()["compile_seconds"]
+    # One-time scatter-plan builds land in warmup; the registry delta
+    # around it is reported as compile_s so median_s measures only
+    # steady-state execution.
+    c0 = _plan_counter("plan.build_seconds")
     for _ in range(warmup):
         fn()
-    compile_s = compile_stats()["compile_seconds"] - c0
+    compile_s = _plan_counter("plan.build_seconds") - c0
     samples = []
     for _ in range(reps):
         t0 = time.perf_counter()
@@ -105,7 +99,8 @@ def run(quick: bool, nthreads: int, reps: int, trace_path: str | None = None) ->
 
     def record(kernel, fmt, backend, nthr, fn, **tags):
         entry = {"kernel": kernel, "format": fmt, "backend": backend,
-                 "nthreads": nthr, **tags, **_time(fn, reps)}
+                 "nthreads": nthr, **tags, **_time(fn, reps),
+                 "host_cpus": HOST_CPUS, "oversubscribed": nthr > HOST_CPUS}
         # Effective DRAM bandwidth: Table-1 modeled bytes over measured
         # median — comparable against the platform ceilings in Table 1.
         cost = cost_for(features, kernel, fmt, r=RANK)
@@ -133,94 +128,73 @@ def run(quick: bool, nthreads: int, reps: int, trace_path: str | None = None) ->
         return entry
 
     timings = {}
-    for tier in TIERS:
-        # --- Mttkrp: the scatter-add ablation ------------------------- #
-        record("mttkrp", "coo", "sequential", 1,
-               lambda t=tier: coo_mttkrp(x, mats, 0, seq, tier=t),
-               method="atomic", tier=tier)
-        for schedule in ("static", "dynamic"):
-            for privatize in ("arena", "chunk"):
-                e = record(
-                    "mttkrp", "coo", "openmp", nthreads,
-                    lambda s=schedule, p=privatize, t=tier: coo_mttkrp(
-                        x, mats, 0, omp, method="atomic", schedule=s,
-                        privatize=p, tier=t,
-                    ),
-                    method="atomic", schedule=schedule, privatize=privatize,
-                    tier=tier,
-                )
-                timings[(tier, schedule, privatize)] = e["median_s"]
-        for method in ("sort", "owner"):
-            record("mttkrp", "coo", "openmp", nthreads,
-                   lambda m=method, t=tier: coo_mttkrp(
-                       x, mats, 0, omp, method=m, tier=t),
-                   method=method, tier=tier)
-
-        record("mttkrp", "hicoo", "sequential", 1,
-               lambda t=tier: hicoo_mttkrp(h, mats, 0, seq, tier=t),
-               method="atomic", tier=tier)
+    # --- Mttkrp: the scatter-add ablation ------------------------------ #
+    record("mttkrp", "coo", "sequential", 1,
+           lambda: coo_mttkrp(x, mats, 0, seq), method="atomic")
+    for schedule in ("static", "dynamic"):
         for privatize in ("arena", "chunk"):
-            record("mttkrp", "hicoo", "openmp", nthreads,
-                   lambda p=privatize, t=tier: hicoo_mttkrp(
-                       h, mats, 0, omp, method="atomic", privatize=p, tier=t),
-                   method="atomic", schedule="dynamic", privatize=privatize,
-                   tier=tier)
-        record("mttkrp", "hicoo", "openmp", nthreads,
-               lambda t=tier: hicoo_mttkrp(h, mats, 0, omp, method="owner",
-                                           tier=t),
-               method="owner", tier=tier)
+            e = record(
+                "mttkrp", "coo", "openmp", nthreads,
+                lambda s=schedule, p=privatize: coo_mttkrp(
+                    x, mats, 0, omp, method="atomic", schedule=s, privatize=p,
+                ),
+                method="atomic", schedule=schedule, privatize=privatize,
+            )
+            timings[(schedule, privatize)] = e["median_s"]
+    for method in ("sort", "owner"):
+        record("mttkrp", "coo", "openmp", nthreads,
+               lambda m=method: coo_mttkrp(x, mats, 0, omp, method=m),
+               method=method)
 
-        # --- Ttv / Ttm: fiber partitioning ---------------------------- #
-        for partition in ("uniform", "balanced"):
-            record("ttv", "coo", "openmp", nthreads,
-                   lambda p=partition, t=tier: coo_ttv(
-                       x, vec, 1, omp, partition=p, tier=t),
-                   partition=partition, tier=tier)
-            record("ttm", "coo", "openmp", nthreads,
-                   lambda p=partition, t=tier: coo_ttm(
-                       x, u, 1, omp, partition=p, tier=t),
-                   partition=partition, tier=tier)
+    record("mttkrp", "hicoo", "sequential", 1,
+           lambda: hicoo_mttkrp(h, mats, 0, seq), method="atomic")
+    for privatize in ("arena", "chunk"):
+        record("mttkrp", "hicoo", "openmp", nthreads,
+               lambda p=privatize: hicoo_mttkrp(
+                   h, mats, 0, omp, method="atomic", privatize=p),
+               method="atomic", schedule="dynamic", privatize=privatize)
+    record("mttkrp", "hicoo", "openmp", nthreads,
+           lambda: hicoo_mttkrp(h, mats, 0, omp, method="owner"),
+           method="owner")
+
+    # --- Ttv / Ttm: fiber partitioning --------------------------------- #
+    for partition in ("uniform", "balanced"):
+        record("ttv", "coo", "openmp", nthreads,
+               lambda p=partition: coo_ttv(x, vec, 1, omp, partition=p),
+               partition=partition)
+        record("ttm", "coo", "openmp", nthreads,
+               lambda p=partition: coo_ttm(x, u, 1, omp, partition=p),
+               partition=partition)
 
     # --- Invariant checks (recorded, and asserted below) --------------- #
     ref = coo_mttkrp(x, mats, 0, seq)
     owner_seq = coo_mttkrp(x, mats, 0, seq, method="owner")
     owner_par = coo_mttkrp(x, mats, 0, omp, method="owner")
-    # Compiled-tier bit-compat contracts: owner accumulates linearly in
-    # storage order (np.add.at's schedule) so it must match the sequential
-    # kernel bit for bit; sort reduces pairwise, so its partner is the
-    # NumPy sort tier, not the sequential kernel.
-    comp_owner = coo_mttkrp(x, mats, 0, omp, method="owner", tier="compiled")
-    sort_np = coo_mttkrp(x, mats, 0, omp, method="sort")
-    comp_sort = coo_mttkrp(x, mats, 0, omp, method="sort", tier="compiled")
-
-    # Best compiled-over-numpy speedup across matched COO-Mttkrp cells.
-    cells: dict = {}
-    for e in results:
-        if e["kernel"] == "mttkrp" and e["format"] == "coo":
-            key = tuple(sorted(
-                (k, str(v)) for k, v in e.items()
-                if k not in _VALUE_KEYS and k != "tier"
-            ))
-            cells.setdefault(key, {})[e["tier"]] = e["median_s"]
-    speedups = [
-        c["numpy"] / c["compiled"] for c in cells.values()
-        if c.get("compiled", 0) > 0 and "numpy" in c
+    # Plan path (sequential backend) vs chunked loops: a one-thread chaos
+    # backend without shuffling always runs the chunks, in chunk order.
+    chunked = ChaosBackend(OpenMPBackend(nthreads=1), shuffle=False)
+    pairs = [
+        (fn(t, mats, 0, seq, method=m), fn(t, mats, 0, chunked, method=m))
+        for fn, t in ((coo_mttkrp, x), (hicoo_mttkrp, h))
+        for m in ("atomic", "sort", "owner")
     ]
+    pairs.append((coo_ttv(x, vec, 1, seq).values,
+                  coo_ttv(x, vec, 1, chunked).values))
+    pairs.append((coo_ttm(x, u, 1, seq).values,
+                  coo_ttm(x, u, 1, chunked).values))
+    chunked.shutdown()
 
-    arena_s = timings[("numpy", "dynamic", "arena")]
-    chunk_s = timings[("numpy", "dynamic", "chunk")]
+    arena_s = timings[("dynamic", "arena")]
+    chunk_s = timings[("dynamic", "chunk")]
     checks = {
         "arena_beats_chunk_coo_dynamic": bool(arena_s < chunk_s),
         "arena_speedup_vs_chunk_dynamic": round(chunk_s / arena_s, 3),
         "owner_bitidentical_to_sequential": bool(
             np.array_equal(ref, owner_seq) and np.array_equal(ref, owner_par)
         ),
-        "compiled_bitidentical_to_numpy": bool(
-            np.array_equal(ref, comp_owner)
-            and np.array_equal(sort_np, comp_sort)
+        "plans_bitidentical_to_chunked": all(
+            np.array_equal(a, b) for a, b in pairs
         ),
-        "compiled_speedup_coo_mttkrp": round(max(speedups), 3),
-        "compiled_2x_coo_mttkrp": bool(max(speedups) >= 2.0),
     }
     omp.shutdown()
 
@@ -240,7 +214,6 @@ def run(quick: bool, nthreads: int, reps: int, trace_path: str | None = None) ->
             f.write("\n")
         print(f"wrote Chrome trace ({len(traces)} traced reruns) -> {trace_path}")
 
-    stats = compile_stats()
     return {
         "meta": {
             "tensor": {"shape": list(shape), "nnz": int(x.nnz),
@@ -248,16 +221,13 @@ def run(quick: bool, nthreads: int, reps: int, trace_path: str | None = None) ->
             "rank": RANK,
             "hicoo_block": BLOCK,
             "nthreads": nthreads,
-            "host_cpus": os.cpu_count(),
+            "host_cpus": HOST_CPUS,
             "numpy": np.__version__,
             "quick": quick,
             "roofline_platform": BLUESKY.name,
-            "compiled": {
-                "numba_available": compiled_available(),
-                "calls": stats["calls"],
-                "fallback_calls": stats["fallback_calls"],
-                "jit_compiles": stats["jit_compiles"],
-                "compile_seconds": round(stats["compile_seconds"], 6),
+            "plans": {
+                "builds": int(_plan_counter("plan.builds")),
+                "build_seconds": round(_plan_counter("plan.build_seconds"), 6),
             },
         },
         "results": results,
@@ -289,17 +259,13 @@ def main() -> None:
         print(f"  {key}: {val}")
     if not report["checks"]["owner_bitidentical_to_sequential"]:
         raise SystemExit("FAIL: owner method not bit-identical to sequential")
-    if not report["checks"]["compiled_bitidentical_to_numpy"]:
-        raise SystemExit("FAIL: compiled tier not bit-identical to NumPy tier")
+    if not report["checks"]["plans_bitidentical_to_chunked"]:
+        raise SystemExit("FAIL: plan path not bit-identical to chunked loops")
     # Timing checks are only meaningful at full size; the quick smoke's
     # tiny tensor produces too few chunks for a stable margin on noisy CI.
     if not args.quick:
         if not report["checks"]["arena_beats_chunk_coo_dynamic"]:
             raise SystemExit("FAIL: arena privatization did not beat per-chunk")
-        if not report["checks"]["compiled_2x_coo_mttkrp"]:
-            raise SystemExit(
-                "FAIL: compiled tier < 2x NumPy tier on COO-Mttkrp"
-            )
 
 
 if __name__ == "__main__":

@@ -38,10 +38,12 @@ IMPROVED = "improved"
 NEUTRAL = "neutral"
 INSUFFICIENT = "insufficient-data"
 
-#: Bench-harness entry keys that are measurements, not identity tags.
+#: Bench-harness entry keys that are measurements or host facts, not
+#: identity tags.
 _BENCH_VALUE_KEYS = {
     "median_s", "min_s", "reps", "compile_s",
     "imbalance", "busy_frac", "eff_bw_gbs", "bound_fraction",
+    "host_cpus", "oversubscribed",
 }
 
 

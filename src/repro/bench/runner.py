@@ -204,12 +204,13 @@ class TensorBundle:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the prepared arrays, the operands once drawn."""
+        """Bytes of the prepared arrays, the operands once drawn, and the
+        index columns and scatter plans kernels have cached on them."""
         coo, hicoo = self.coo, self.hicoo
         arrays = [coo.indices, coo.values, hicoo.bptr, hicoo.binds, hicoo.einds, hicoo.values]
         if self._operands is not None:
             arrays += self._operands[0] + self._operands[1]
-        return sum(a.nbytes for a in arrays)
+        return sum(a.nbytes for a in arrays) + coo.cache_nbytes + hicoo.cache_nbytes
 
     def _draw_operands(self) -> tuple:
         if self._operands is None:

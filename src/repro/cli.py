@@ -62,13 +62,8 @@ def _cmd_info(args) -> int:
     import repro
     from repro.roofline import PLATFORMS, RooflineModel, measure_host
 
-    from repro.compiled import available as compiled_available
-    from repro.compiled import default_tier
-
     print(f"repro {repro.__version__} — parallel sparse tensor benchmark suite")
     print(f"kernels: tew ts ttv ttm mttkrp | formats: coo hicoo ghicoo scoo shicoo csf")
-    jit = "numba JIT" if compiled_available() else "fused-NumPy fallback"
-    print(f"compiled tier: {jit} (default tier: {default_tier()})")
     print()
     for p in PLATFORMS:
         model = RooflineModel(p)
@@ -580,47 +575,36 @@ def _cmd_trace(args) -> int:
     vec = rng.random(coo.shape[args.mode]).astype(np.float32)
 
     backend = OpenMPBackend(nthreads=args.nthreads)
-    tier = args.tier
     kernels = {
         "mttkrp": {
             "coo": lambda be: coo_mttkrp(
                 coo, mats, args.mode, be,
-                method=args.method, schedule=args.schedule, tier=tier,
+                method=args.method, schedule=args.schedule,
             ),
             "hicoo": lambda be: hicoo_mttkrp(
                 x, mats, args.mode, be,
-                method=args.method, schedule=args.schedule, tier=tier,
+                method=args.method, schedule=args.schedule,
             ),
         },
         "ttv": {
-            "coo": lambda be: coo_ttv(
-                coo, vec, args.mode, be, schedule=args.schedule, tier=tier
-            ),
-            "hicoo": lambda be: hicoo_ttv(
-                x, vec, args.mode, be, schedule=args.schedule, tier=tier
-            ),
+            "coo": lambda be: coo_ttv(coo, vec, args.mode, be, schedule=args.schedule),
+            "hicoo": lambda be: hicoo_ttv(x, vec, args.mode, be, schedule=args.schedule),
         },
         "ttm": {
             "coo": lambda be: coo_ttm(
-                coo, mats[args.mode], args.mode, be,
-                schedule=args.schedule, tier=tier,
+                coo, mats[args.mode], args.mode, be, schedule=args.schedule
             ),
             "hicoo": lambda be: hicoo_ttm(
-                x, mats[args.mode], args.mode, be,
-                schedule=args.schedule, tier=tier,
+                x, mats[args.mode], args.mode, be, schedule=args.schedule
             ),
         },
         "tew": {
-            "coo": lambda be: coo_tew(
-                coo, coo, "add", be, assume_same_pattern=True, tier=tier
-            ),
-            "hicoo": lambda be: hicoo_tew(
-                x, x, "add", be, assume_same_pattern=True, tier=tier
-            ),
+            "coo": lambda be: coo_tew(coo, coo, "add", be, assume_same_pattern=True),
+            "hicoo": lambda be: hicoo_tew(x, x, "add", be, assume_same_pattern=True),
         },
         "ts": {
-            "coo": lambda be: coo_ts(coo, 1.5, "mul", be, tier=tier),
-            "hicoo": lambda be: hicoo_ts(x, 1.5, "mul", be, tier=tier),
+            "coo": lambda be: coo_ts(coo, 1.5, "mul", be),
+            "hicoo": lambda be: hicoo_ts(x, 1.5, "mul", be),
         },
     }
     fn = kernels[args.kernel][args.fmt]
@@ -631,7 +615,6 @@ def _cmd_trace(args) -> int:
             "fmt": args.fmt,
             "nthreads": args.nthreads,
             "schedule": args.schedule,
-            "tier": tier or "default",
         }
     )
     try:
@@ -904,10 +887,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["static", "dynamic", "guided"],
     )
     p_trace.add_argument("--block-size", type=int, default=128)
-    p_trace.add_argument(
-        "--tier", default=None, choices=["numpy", "compiled", "auto"],
-        help="execution tier (default: REPRO_COMPILED-gated resolution)",
-    )
     p_trace.add_argument("--repeats", type=int, default=1)
     p_trace.add_argument(
         "--platform", default="Bluesky",

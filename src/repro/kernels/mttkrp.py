@@ -32,6 +32,11 @@ make the multi-threaded kernels race-free:
   of ``out`` and needs no privatization or atomics at all; the stable
   bucketing keeps results bit-identical to the sequential kernel (see
   :mod:`repro.parallel.ownership`).
+
+Plain sequential execution runs none of these chunked loops: it takes the
+plan path of :mod:`repro.kernels.plans` (one flattened ``np.add.at`` for
+``atomic``/``owner``, one cached segmented reduce for ``sort``), which
+replays the same floating-point schedule and so returns the same bits.
 """
 
 from __future__ import annotations
@@ -42,10 +47,10 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.types import Schedule
-from repro.compiled import resolve_tier, run_mttkrp
 from repro.obs.registry import get_metrics
 from repro.obs.tracer import CAT_KERNEL, current_tracer
 from repro.kernels.contract import Access, declares_output
+from repro.kernels.plans import scatter_plan, scatter_rows, uses_plans
 from repro.parallel.atomic import atomic_add_rows, sorted_reduce_rows
 from repro.parallel.backend import Backend, get_backend
 from repro.parallel.ownership import owner_partition
@@ -93,7 +98,8 @@ def _check_matrices(shape, mats: Sequence[np.ndarray], mode: int) -> list:
     return out
 
 
-def _check_method(method: str, privatize: str) -> None:
+def _check_method(method: str, privatize: str, schedule) -> None:
+    Schedule.coerce(schedule)
     if method not in MTTKRP_METHODS:
         raise ValueError(
             f"unknown Mttkrp method {method!r}; expected one of {MTTKRP_METHODS}"
@@ -138,6 +144,22 @@ def _row_contributions(
         else:
             contrib *= rows
     return contrib
+
+
+def _plan_mttkrp(x, rows, cols, mats, out, method: str, tag) -> np.ndarray:
+    """The plan-path Mttkrp over a prepared (rows, cols) entry stream.
+
+    ``atomic`` and ``owner`` scatter in storage order, as ``np.add.at``
+    does in the chunked loops; ``sort`` reduces pairwise with
+    ``np.add.reduceat`` over the tensor's cached segments, as
+    ``sorted_reduce_rows`` does.
+    """
+    contrib = _row_contributions(cols, x.values, mats, out.dtype)
+    if method == "sort":
+        scatter_plan(x, rows, tag).reduce_segments(out, contrib)
+    else:
+        scatter_rows(out, rows, contrib)
+    return out
 
 
 def _count_mttkrp(nnz: int, r: int, method: str) -> None:
@@ -264,7 +286,6 @@ def coo_mttkrp(
     method: str = "atomic",
     schedule: "Schedule | str" = Schedule.STATIC,
     privatize: str = "arena",
-    tier: "str | None" = None,
 ) -> np.ndarray:
     """COO-Mttkrp parallelized by non-zeros (ParTI's algorithm).
 
@@ -282,32 +303,26 @@ def coo_mttkrp(
         Arena strategy for the threaded ``atomic`` method: ``"arena"``
         (per-thread workspace pool, the default) or ``"chunk"`` (the seed's
         per-chunk buffers, kept as the harness ablation baseline).
-    tier:
-        Execution tier: ``"numpy"`` (the chunked loops above),
-        ``"compiled"`` (descriptor-lowered JIT/fused execution, see
-        :mod:`repro.compiled`), or ``"auto"``; ``None`` takes the
-        environment default (:func:`repro.compiled.default_tier`).
+
+    Plain sequential execution takes the plan path whatever the method;
+    threaded and chunk-checking backends run the chunked loops.
 
     Returns the updated dense matrix ``(I_mode, R)``.
     """
     mode = check_mode(mode, x.nmodes)
     mats = _check_matrices(x.shape, mats, mode)
-    _check_method(method, privatize)
+    _check_method(method, privatize, schedule)
     backend = get_backend(backend)
     r = next(u.shape[1] for u in mats if u is not None)
     dtype = np.result_type(x.values, *[u for u in mats if u is not None])
     out = np.zeros((x.shape[mode], r), dtype=dtype)
     if x.nnz == 0:
         return out
-    exec_tier = resolve_tier(
-        tier, backend=backend, kernel="mttkrp", fmt="coo", method=method,
-        nnz=x.nnz, r=r,
-    )
     _count_mttkrp(x.nnz, r, method)
     tracer = current_tracer()
     with tracer.span(
         "mttkrp", cat=CAT_KERNEL, fmt="coo", mode=mode, method=method,
-        backend=backend.name, nnz=x.nnz, rank=r, tier=exec_tier,
+        backend=backend.name, nnz=x.nnz, rank=r,
     ):
         cols = [
             x.index_column(m) if mats[m] is not None else None
@@ -315,12 +330,8 @@ def coo_mttkrp(
         ]
         rows = x.index_column(mode)
 
-        if exec_tier == "compiled":
-            return run_mttkrp(
-                x, rows, cols, x.values, mats, out,
-                fmt="coo", method=method, backend=backend,
-                privatize=privatize, tag=mode,
-            )
+        if uses_plans(backend):
+            return _plan_mttkrp(x, rows, cols, mats, out, method, tag=mode)
 
         if method == "sort":
             contrib = _row_contributions(cols, x.values, mats, dtype)
@@ -354,7 +365,6 @@ def hicoo_mttkrp(
     schedule: "Schedule | str" = Schedule.DYNAMIC,
     blocks_per_chunk: int = 32,
     privatize: str = "arena",
-    tier: "str | None" = None,
 ) -> np.ndarray:
     """HiCOO-Mttkrp (paper Algorithm 2) parallelized by tensor *blocks*.
 
@@ -370,23 +380,18 @@ def hicoo_mttkrp(
     """
     mode = check_mode(mode, x.nmodes)
     mats = _check_matrices(x.shape, mats, mode)
-    _check_method(method, privatize)
+    _check_method(method, privatize, schedule)
     backend = get_backend(backend)
     r = next(u.shape[1] for u in mats if u is not None)
     dtype = np.result_type(x.values, *[u for u in mats if u is not None])
     out = np.zeros((x.shape[mode], r), dtype=dtype)
     if x.nnz == 0:
         return out
-    exec_tier = resolve_tier(
-        tier, backend=backend, kernel="mttkrp", fmt="hicoo", method=method,
-        nnz=x.nnz, r=r,
-    )
     _count_mttkrp(x.nnz, r, method)
     tracer = current_tracer()
     with tracer.span(
         "mttkrp", cat=CAT_KERNEL, fmt="hicoo", mode=mode, method=method,
         backend=backend.name, nnz=x.nnz, rank=r, nblocks=x.nblocks,
-        tier=exec_tier,
     ):
         # Cached global coordinates: block offset + element offset, per mode.
         cols = [
@@ -395,12 +400,8 @@ def hicoo_mttkrp(
         ]
         rows = x.global_row(mode)
 
-        if exec_tier == "compiled":
-            return run_mttkrp(
-                x, rows, cols, x.values, mats, out,
-                fmt="hicoo", method=method, backend=backend,
-                privatize=privatize, align=x.block_size, tag=mode,
-            )
+        if uses_plans(backend):
+            return _plan_mttkrp(x, rows, cols, mats, out, method, tag=mode)
 
         if method == "sort":
             contrib = _row_contributions(cols, x.values, mats, dtype)

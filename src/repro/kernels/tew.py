@@ -22,8 +22,8 @@ import numpy as np
 
 from repro.errors import PatternMismatchError
 from repro.types import OpKind
-from repro.compiled import resolve_tier, run_elementwise
 from repro.kernels.contract import Access, declares_output
+from repro.kernels.plans import uses_plans
 from repro.parallel.backend import Backend, get_backend
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.hicoo import HiCOOTensor
@@ -43,32 +43,25 @@ def elementwise_values(
     op: OpKind,
     out: np.ndarray,
     backend: Backend,
-    fmt: str = "coo",
-    tier: "str | None" = None,
 ) -> None:
     """The timed value-computation loop, chunked over the backend.
 
     Shared verbatim by COO and HiCOO (paper: "the value computation of
-    HiCOO-Tew-OMP ... is the same with COO-Tew-OMP").
+    HiCOO-Tew-OMP ... is the same with COO-Tew-OMP").  Plain sequential
+    execution runs one whole-array ufunc call instead; chunking a ufunc
+    never changes its results.
     """
     ufunc = _UFUNC[op]
-    exec_tier = resolve_tier(
-        tier, backend=backend, kernel="tew", fmt=fmt, method="elementwise",
-        nnz=len(out), r=1,
-    )
 
     def body(lo: int, hi: int) -> None:
         ufunc(xv[lo:hi], yv[lo:hi], out=out[lo:hi])
 
     # Chunks write disjoint slices of the value array by construction.
     with backend.check_output(out, Access.DISJOINT):
-        if exec_tier == "compiled":
-            run_elementwise(
-                op, ufunc, xv, yv, out, kernel="tew", fmt=fmt,
-                backend=backend, scalar=False,
-            )
-            return
-        backend.parallel_for(len(out), body)
+        if uses_plans(backend):
+            ufunc(xv, yv, out=out)
+        else:
+            backend.parallel_for(len(out), body)
 
 
 @declares_output(Access.DISJOINT)
@@ -78,7 +71,6 @@ def coo_tew(
     op: "OpKind | str" = OpKind.ADD,
     backend: "Backend | str | None" = None,
     assume_same_pattern: bool = False,
-    tier: "str | None" = None,
 ) -> COOTensor:
     """COO-Tew: element-wise op between two COO tensors.
 
@@ -98,9 +90,7 @@ def coo_tew(
         out_vals = np.empty_like(
             x.values, dtype=np.result_type(x.values, y.values)
         )
-        elementwise_values(
-            x.values, y.values, op, out_vals, backend, fmt="coo", tier=tier
-        )
+        elementwise_values(x.values, y.values, op, out_vals, backend)
         out = COOTensor(x.shape, x.indices, out_vals, copy=True, check=False)
         out._sort_order = x.sort_order
         return out
@@ -115,9 +105,7 @@ def coo_tew(
     if op in (OpKind.MUL, OpKind.DIV):
         common, ix, iy = np.intersect1d(lx, ly, return_indices=True)
         out_vals = np.empty(len(common), dtype=dtype)
-        elementwise_values(
-            xv[ix], yv[iy], op, out_vals, backend, fmt="coo", tier=tier
-        )
+        elementwise_values(xv[ix], yv[iy], op, out_vals, backend)
         out_inds = x.indices[ox][ix]
         out = COOTensor(x.shape, out_inds, out_vals, copy=False, check=False)
         out._sort_order = tuple(range(x.nmodes))
@@ -130,9 +118,7 @@ def coo_tew(
     xvals[np.searchsorted(union, lx)] = xv
     yvals[np.searchsorted(union, ly)] = yv
     out_vals = np.empty(len(union), dtype=dtype)
-    elementwise_values(
-        xvals, yvals, op, out_vals, backend, fmt="coo", tier=tier
-    )
+    elementwise_values(xvals, yvals, op, out_vals, backend)
     out_inds = np.stack(np.unravel_index(union, x.shape), axis=1)
     out = COOTensor(x.shape, out_inds, out_vals, copy=False, check=False)
     out._sort_order = tuple(range(x.nmodes))
@@ -146,7 +132,6 @@ def hicoo_tew(
     op: "OpKind | str" = OpKind.ADD,
     backend: "Backend | str | None" = None,
     assume_same_pattern: bool = False,
-    tier: "str | None" = None,
 ) -> HiCOOTensor:
     """HiCOO-Tew: identical value loop; pre-processing builds the output in
     HiCOO rather than COO format (paper Sec. 3.4.1)."""
@@ -161,14 +146,12 @@ def hicoo_tew(
             raise PatternMismatchError(
                 f"same-pattern Tew requires equal nnz: {x.nnz} vs {y.nnz}"
             )
-        elementwise_values(
-            x.values, y.values, op, out_vals, backend, fmt="hicoo", tier=tier
-        )
+        elementwise_values(x.values, y.values, op, out_vals, backend)
         return HiCOOTensor(
             x.shape, x.block_size, x.bptr, x.binds, x.einds, out_vals,
             check=False,
         )
-    merged = coo_tew(x.to_coo(), y.to_coo(), op, backend, tier=tier)
+    merged = coo_tew(x.to_coo(), y.to_coo(), op, backend)
     return HiCOOTensor.from_coo(merged, x.block_size)
 
 

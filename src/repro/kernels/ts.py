@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.types import OpKind
-from repro.compiled import resolve_tier, run_elementwise
 from repro.kernels.contract import Access, declares_output
+from repro.kernels.plans import uses_plans
 from repro.parallel.backend import Backend, get_backend
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.hicoo import HiCOOTensor
@@ -36,28 +36,20 @@ def scalar_values(
     op: OpKind,
     out: np.ndarray,
     backend: Backend,
-    fmt: str = "coo",
-    tier: "str | None" = None,
 ) -> None:
-    """The timed value loop: ``out = xv op s`` in backend-sized chunks."""
+    """The timed value loop: ``out = xv op s`` in backend-sized chunks
+    (one whole-array ufunc call under plain sequential execution)."""
     ufunc = _SCALAR_UFUNC[op]
-    exec_tier = resolve_tier(
-        tier, backend=backend, kernel="ts", fmt=fmt, method="elementwise",
-        nnz=len(out), r=1,
-    )
 
     def body(lo: int, hi: int) -> None:
         ufunc(xv[lo:hi], s, out=out[lo:hi])
 
     # Chunks write disjoint slices of the value array by construction.
     with backend.check_output(out, Access.DISJOINT):
-        if exec_tier == "compiled":
-            run_elementwise(
-                op, ufunc, xv, s, out, kernel="ts", fmt=fmt,
-                backend=backend, scalar=True,
-            )
-            return
-        backend.parallel_for(len(out), body)
+        if uses_plans(backend):
+            ufunc(xv, s, out=out)
+        else:
+            backend.parallel_for(len(out), body)
 
 
 @declares_output(Access.DISJOINT)
@@ -66,7 +58,6 @@ def coo_ts(
     s: float,
     op: "OpKind | str" = OpKind.MUL,
     backend: "Backend | str | None" = None,
-    tier: "str | None" = None,
 ) -> COOTensor:
     """COO-Ts: scalar op over the stored values."""
     op = OpKind.coerce(op)
@@ -74,10 +65,7 @@ def coo_ts(
         raise ZeroDivisionError("tensor-scalar division by zero")
     backend = get_backend(backend)
     out_vals = np.empty_like(x.values)
-    scalar_values(
-        x.values, x.values.dtype.type(s), op, out_vals, backend,
-        fmt="coo", tier=tier,
-    )
+    scalar_values(x.values, x.values.dtype.type(s), op, out_vals, backend)
     out = COOTensor(x.shape, x.indices, out_vals, copy=True, check=False)
     out._sort_order = x.sort_order
     return out
@@ -89,7 +77,6 @@ def hicoo_ts(
     s: float,
     op: "OpKind | str" = OpKind.MUL,
     backend: "Backend | str | None" = None,
-    tier: "str | None" = None,
 ) -> HiCOOTensor:
     """HiCOO-Ts: identical value loop; output pre-allocated in HiCOO."""
     op = OpKind.coerce(op)
@@ -97,10 +84,7 @@ def hicoo_ts(
         raise ZeroDivisionError("tensor-scalar division by zero")
     backend = get_backend(backend)
     out_vals = np.empty_like(x.values)
-    scalar_values(
-        x.values, x.values.dtype.type(s), op, out_vals, backend,
-        fmt="hicoo", tier=tier,
-    )
+    scalar_values(x.values, x.values.dtype.type(s), op, out_vals, backend)
     return HiCOOTensor(
         x.shape,
         x.block_size,

@@ -25,7 +25,7 @@ from repro.sptensor.hicoo import HiCOOTensor
 from repro.sptensor.scoo import SemiCOOTensor
 from repro.sptensor.shicoo import SemiHiCOOTensor
 from repro.kernels.contract import Access, declares_output
-from repro.kernels.ttv import fiber_reduce
+from repro.kernels.ttv import check_fiber_args, fiber_reduce
 from repro.util.validation import check_mode
 
 
@@ -47,9 +47,9 @@ def coo_ttm(
     backend: "Backend | str | None" = None,
     schedule: "Schedule | str" = Schedule.STATIC,
     partition: str = "uniform",
-    tier: "str | None" = None,
 ) -> SemiCOOTensor:
     """COO-Ttm: output in sCOO format with dense mode ``mode`` of size R."""
+    check_fiber_args(schedule, partition)
     mode = check_mode(mode, x.nmodes)
     u = _check_matrix(x.shape, u, mode)
     backend = get_backend(backend)
@@ -73,7 +73,7 @@ def coo_ttm(
     contrib = vals[:, None] * u[idx_n, :]
     fiber_reduce(
         contrib, fi.fptr, out_vals, backend, schedule, partition,
-        kernel="ttm", fmt="coo", tier=tier,
+        kernel="ttm", fmt="coo",
     )
 
     return SemiCOOTensor(out_shape, (mode,), out_inds, out_vals, check=False)
@@ -87,7 +87,6 @@ def ghicoo_ttm(
     backend: "Backend | str | None" = None,
     schedule: "Schedule | str" = Schedule.STATIC,
     partition: str = "uniform",
-    tier: "str | None" = None,
 ) -> SemiHiCOOTensor:
     """Ttm on a gHiCOO tensor with the product mode uncompressed.
 
@@ -95,6 +94,7 @@ def ghicoo_ttm(
     block/element coordinates, the value loop is shared with COO-Ttm, and
     the output reuses the input's block structure in sHiCOO format.
     """
+    check_fiber_args(schedule, partition)
     mode = check_mode(mode, x.nmodes)
     if x.uncompressed_modes != (mode,):
         raise ShapeError(
@@ -138,7 +138,7 @@ def ghicoo_ttm(
     contrib = x.values.astype(dtype, copy=False)[:, None] * u[idx_n, :]
     fiber_reduce(
         contrib, fptr, out_vals, backend, schedule, partition,
-        kernel="ttm", fmt="ghicoo", tier=tier,
+        kernel="ttm", fmt="ghicoo",
     )
 
     fiber_bid = bid[starts]
@@ -163,10 +163,10 @@ def hicoo_ttm(
     backend: "Backend | str | None" = None,
     schedule: "Schedule | str" = Schedule.STATIC,
     partition: str = "uniform",
-    tier: "str | None" = None,
 ) -> SemiHiCOOTensor:
     """HiCOO-Ttm: gHiCOO re-representation (pre-processing) + shared loop."""
+    check_fiber_args(schedule, partition)
     mode = check_mode(mode, x.nmodes)
     comp = tuple(m for m in range(x.nmodes) if m != mode)
     g = GHiCOOTensor.from_coo(x.to_coo(), x.block_size, comp)
-    return ghicoo_ttm(g, u, mode, backend, schedule, partition, tier=tier)
+    return ghicoo_ttm(g, u, mode, backend, schedule, partition)

@@ -16,16 +16,29 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.types import Schedule
-from repro.compiled import resolve_tier, run_fiber_reduce
 from repro.obs.registry import get_metrics
 from repro.obs.tracer import CAT_KERNEL, current_tracer
 from repro.kernels.contract import Access, declares_output
+from repro.kernels.plans import uses_plans
 from repro.parallel.backend import Backend, get_backend
 from repro.parallel.partition import balanced_partition
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.ghicoo import GHiCOOTensor
 from repro.sptensor.hicoo import HiCOOTensor
 from repro.util.validation import check_mode
+
+#: Fiber-range partitions of the Ttv/Ttm loop.
+FIBER_PARTITIONS = ("uniform", "balanced")
+
+
+def check_fiber_args(schedule: "Schedule | str", partition: str) -> None:
+    """Reject an unknown schedule or partition before any work runs."""
+    Schedule.coerce(schedule)
+    if partition not in FIBER_PARTITIONS:
+        raise ValueError(
+            f"unknown fiber partition {partition!r}; "
+            f"expected one of {FIBER_PARTITIONS}"
+        )
 
 
 def _check_vector(x_shape, v: np.ndarray, mode: int) -> np.ndarray:
@@ -47,7 +60,6 @@ def fiber_reduce(
     partition: str = "uniform",
     kernel: str = "fiber_reduce",
     fmt: str = "coo",
-    tier: "str | None" = None,
 ) -> None:
     """Reduce contiguous fiber segments of ``contrib`` into ``out``.
 
@@ -59,18 +71,18 @@ def fiber_reduce(
     *count*; ``partition="balanced"`` instead pre-cuts one contiguous fiber
     range per thread with near-equal *non-zero* totals (the owner-computes
     analogue for fiber-parallel kernels — the mitigation for the skew the
-    paper's Observation 4 calls out).
+    paper's Observation 4 calls out).  Plain sequential execution reduces
+    every fiber in one whole-array ``reduceat`` instead (see
+    :mod:`repro.kernels.plans`); a fiber's sum depends only on its own
+    entries, so both lowerings agree bit for bit.
 
     ``kernel``/``fmt`` label the trace span the loop records when a
     tracer is installed (Ttv and Ttm share this timed loop).
     """
+    check_fiber_args(schedule, partition)
     nf = len(fptr) - 1
     nnz = len(contrib)
     ncols = int(np.prod(contrib.shape[1:], dtype=np.int64)) if contrib.ndim > 1 else 1
-    exec_tier = resolve_tier(
-        tier, backend=backend, kernel=kernel, fmt=fmt, method="fiber",
-        nnz=nnz, r=ncols,
-    )
     tracer = current_tracer()
 
     def body(flo: int, fhi: int) -> None:
@@ -94,25 +106,19 @@ def fiber_reduce(
     # race-check backend verifies on every replayed decomposition.
     with tracer.span(
         kernel, cat=CAT_KERNEL, fmt=fmt, partition=partition,
-        backend=backend.name, nfibers=nf, nnz=nnz, tier=exec_tier,
+        backend=backend.name, nfibers=nf, nnz=nnz,
     ):
         with backend.check_output(out, Access.DISJOINT):
-            if exec_tier == "compiled":
-                run_fiber_reduce(
-                    contrib, fptr, out, kernel=kernel, fmt=fmt,
-                    backend=backend,
-                )
-                return
-            if partition == "balanced":
+            if uses_plans(backend):
+                if nf > 0:
+                    out[...] = np.add.reduceat(
+                        contrib, fptr[:-1].astype(np.int64), axis=0
+                    )
+            elif partition == "balanced":
                 ranges = balanced_partition(np.diff(fptr), backend.nthreads)
                 backend.map_ranges(ranges, body)
-            elif partition == "uniform":
-                backend.parallel_for(nf, body, schedule=schedule)
             else:
-                raise ValueError(
-                    f"unknown fiber partition {partition!r}; "
-                    "expected 'uniform' or 'balanced'"
-                )
+                backend.parallel_for(nf, body, schedule=schedule)
 
 
 @declares_output(Access.DISJOINT)
@@ -123,9 +129,9 @@ def coo_ttv(
     backend: "Backend | str | None" = None,
     schedule: "Schedule | str" = Schedule.STATIC,
     partition: str = "uniform",
-    tier: "str | None" = None,
 ) -> COOTensor:
     """COO-Ttv (paper Algorithm 1): output in COO format, order N-1."""
+    check_fiber_args(schedule, partition)
     mode = check_mode(mode, x.nmodes)
     if x.nmodes < 2:
         raise ShapeError("Ttv needs an order >= 2 tensor (output loses a mode)")
@@ -148,7 +154,7 @@ def coo_ttv(
     contrib = vals.astype(dtype, copy=False) * v[idx_n]
     fiber_reduce(
         contrib, fi.fptr, out_vals, backend, schedule, partition,
-        kernel="ttv", fmt="coo", tier=tier,
+        kernel="ttv", fmt="coo",
     )
 
     out = COOTensor(out_shape, out_inds, out_vals, copy=False, check=False)
@@ -164,7 +170,6 @@ def ghicoo_ttv(
     schedule: "Schedule | str" = Schedule.STATIC,
     partition: str = "uniform",
     block_size: int | None = None,
-    tier: "str | None" = None,
 ) -> HiCOOTensor:
     """Ttv on a gHiCOO tensor whose product mode is left *uncompressed*.
 
@@ -175,6 +180,7 @@ def ghicoo_ttv(
     The output is a HiCOO tensor of order N-1 sharing the input's block
     coordinates.
     """
+    check_fiber_args(schedule, partition)
     mode = check_mode(mode, x.nmodes)
     if mode in x.compressed_modes:
         raise ShapeError(
@@ -215,7 +221,7 @@ def ghicoo_ttv(
     contrib = x.values.astype(dtype, copy=False) * v[idx_n]
     fiber_reduce(
         contrib, fptr, out_vals, backend, schedule, partition,
-        kernel="ttv", fmt="ghicoo", tier=tier,
+        kernel="ttv", fmt="ghicoo",
     )
 
     # Assemble the HiCOO output reusing the input's block structure.
@@ -238,14 +244,14 @@ def hicoo_ttv(
     backend: "Backend | str | None" = None,
     schedule: "Schedule | str" = Schedule.STATIC,
     partition: str = "uniform",
-    tier: "str | None" = None,
 ) -> HiCOOTensor:
     """HiCOO-Ttv: re-represent as gHiCOO with the product mode uncompressed
     (pre-processing, as in the paper), then run the shared value loop."""
+    check_fiber_args(schedule, partition)
     mode = check_mode(mode, x.nmodes)
     comp = tuple(m for m in range(x.nmodes) if m != mode)
     g = GHiCOOTensor.from_coo(x.to_coo(), x.block_size, comp)
-    return ghicoo_ttv(g, v, mode, backend, schedule, partition, tier=tier)
+    return ghicoo_ttv(g, v, mode, backend, schedule, partition)
 
 
 def _drop_empty_blocks(t: HiCOOTensor) -> HiCOOTensor:

@@ -38,11 +38,12 @@ class Backend(abc.ABC):
     #: Logical worker count (1 for sequential).
     nthreads: int = 1
 
-    #: Whether the compiled execution tier may run under this backend.
-    #: Correctness backends (race-check, chaos) flip this off: their
-    #: checks replay the *chunked* decomposition, which the compiled
-    #: tier's fused/JIT loops do not go through.
-    supports_compiled: bool = True
+    #: Whether kernels must run their chunked loops under this backend
+    #: even when it is not threaded.  Correctness backends (race-check,
+    #: chaos) set it: they replay, perturb or fail individual chunks,
+    #: which the whole-array plan path (:mod:`repro.kernels.plans`) never
+    #: goes through.
+    chunked_only: bool = False
 
     #: Pool class used by :meth:`workspace`; an extension point so the
     #: correctness harness can substitute instrumented pools.

@@ -70,9 +70,9 @@ class ChaosBackend(Backend):
         error-path tests; combined with ``failure_rate``.
     """
 
-    #: Chaos perturbs chunk decompositions; the compiled tier has none,
-    #: so tier resolution keeps the NumPy tier under this backend.
-    supports_compiled = False
+    #: Chaos perturbs and fails chunks, so kernels keep their chunked
+    #: loops here even over a one-thread inner pool.
+    chunked_only = True
 
     def __init__(
         self,

@@ -151,6 +151,19 @@ class _Watch:
         )
 
 
+def _changed(array: np.ndarray, snap: np.ndarray) -> np.ndarray:
+    """Flat indices of the elements whose bytes differ from ``snap``.
+
+    Bit patterns, not values: an untouched NaN (such as garbage in an
+    ``np.empty`` output) is unequal to itself by value, which would
+    charge every chunk with a write it never made.
+    """
+    shape = (array.size, array.itemsize)
+    now = np.ascontiguousarray(array).view(np.uint8).reshape(shape)
+    was = np.ascontiguousarray(snap).view(np.uint8).reshape(shape)
+    return np.flatnonzero((now != was).any(axis=1))
+
+
 class RaceCheckBackend(Backend):
     """Executes kernels under write-footprint checking.
 
@@ -176,10 +189,9 @@ class RaceCheckBackend(Backend):
     a :class:`RegionReport` is appended to :attr:`history`.
     """
 
-    #: The compiled tier bypasses chunked decompositions, so it would
-    #: erase exactly the footprints this backend exists to check; tier
-    #: resolution transparently falls back to the NumPy tier here.
-    supports_compiled = False
+    #: The plan path bypasses chunked decompositions, so it would erase
+    #: exactly the footprints this backend exists to check.
+    chunked_only = True
 
     def __init__(
         self,
@@ -273,10 +285,7 @@ class RaceCheckBackend(Backend):
             with bound_slot(0):
                 body(lo, hi)
             for watch, snap in zip(watches, before):
-                changed = np.flatnonzero(
-                    (watch.array != snap).ravel()
-                )
-                watch.record(ci, changed)
+                watch.record(ci, _changed(watch.array, snap))
         for watch in watches:
             self.history.append(watch.report)
             msg = watch.violation_message()

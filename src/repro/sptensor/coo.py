@@ -119,7 +119,7 @@ class COOTensor:
         self.values = np.array(values) if copy else np.asarray(values)
         self._sort_order: tuple[int, ...] | None = None
         self._index_cols: dict[int, np.ndarray] = {}
-        # Compiled-tier execution plans (repro.compiled.plans); entry-order
+        # Cached scatter plans (repro.kernels.plans); entry-order
         # dependent, so invalidated together with the index-column cache.
         self._plan_cache: dict = {}
 
@@ -153,6 +153,13 @@ class COOTensor:
     def nbytes_actual(self) -> int:
         """Actual in-memory bytes of the backing arrays."""
         return self.indices.nbytes + self.values.nbytes
+
+    @property
+    def cache_nbytes(self) -> int:
+        """Bytes held by the index-column and scatter-plan caches."""
+        return sum(c.nbytes for c in self._index_cols.values()) + sum(
+            p.nbytes for p in self._plan_cache.values()
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -93,8 +93,8 @@ class HiCOOTensor:
         self.values = np.asarray(values)
         self._entry_bids: np.ndarray | None = None
         self._global_rows: dict[int, np.ndarray] = {}
-        # Compiled-tier execution plans; HiCOO is immutable after build,
-        # so the cache lives for the tensor's lifetime.
+        # Cached scatter plans (repro.kernels.plans); HiCOO is immutable
+        # after build, so the cache lives for the tensor's lifetime.
         self._plan_cache: dict = {}
         if check:
             self._validate()
@@ -149,6 +149,16 @@ class HiCOOTensor:
         return (
             self.nblocks * (BPTR_BYTES + n * INDEX_BYTES)
             + self.nnz * (n * EINDEX_BYTES + VALUE_BYTES)
+        )
+
+    @property
+    def cache_nbytes(self) -> int:
+        """Bytes held by the block-id, global-row and scatter-plan caches."""
+        cached = list(self._global_rows.values())
+        if self._entry_bids is not None:
+            cached.append(self._entry_bids)
+        return sum(c.nbytes for c in cached) + sum(
+            p.nbytes for p in self._plan_cache.values()
         )
 
     def compression_ratio(self) -> float:

@@ -30,46 +30,6 @@ from repro.sptensor.coo import COOTensor
 from repro.sptensor.hicoo import HiCOOTensor
 
 
-#: Per-call dispatch overhead charged to each execution tier, seconds.
-#: The NumPy tier pays argument checking plus the chunk loop setup; the
-#: compiled tier additionally pays tier resolution, plan-cache lookups,
-#: and (amortized) workspace checkout — measured on this suite's hot-path
-#: harness at a few tens of microseconds.
-TIER_DISPATCH_S = {"numpy": 5e-6, "compiled": 6e-5}
-
-#: Steady-state per-(entry x rank-column) cost of each tier, seconds,
-#: fitted per kernel family on the hot-path bench tensors.  The gap is
-#: widest for Mttkrp (the fused/JIT scatter replaces ``np.add.at``) and
-#: nearly closes for the elementwise kernels (both tiers are one ufunc
-#: pass, the compiled tier only drops the chunk dispatch).
-_TIER_UNIT_S = {
-    "mttkrp": {"numpy": 1.8e-8, "compiled": 4.7e-9},
-    "ttv": {"numpy": 9e-9, "compiled": 4e-9},
-    "ttm": {"numpy": 9e-9, "compiled": 4e-9},
-    "tew": {"numpy": 2.5e-9, "compiled": 2.2e-9},
-    "ts": {"numpy": 2.5e-9, "compiled": 2.2e-9},
-}
-
-
-def tier_cost(kernel: str, tier: str, nnz: int, r: int = 1) -> float:
-    """Modeled seconds for one kernel call under an execution tier."""
-    units = _TIER_UNIT_S.get(str(kernel), _TIER_UNIT_S["mttkrp"])
-    work = float(max(int(nnz), 0)) * float(max(int(r), 1))
-    return TIER_DISPATCH_S[tier] + units[tier] * work
-
-
-def recommend_tier(kernel: str, nnz: int, r: int = 1) -> str:
-    """Resolve ``tier="auto"``: the cheaper tier under the static model.
-
-    The dispatch-overhead term is what keeps tiny tensors on the NumPy
-    tier — below a few thousand entry-columns the compiled tier's plan
-    and dispatch costs exceed anything its loops save.
-    """
-    compiled = tier_cost(kernel, "compiled", nnz, r)
-    numpy_ = tier_cost(kernel, "numpy", nnz, r)
-    return "compiled" if compiled < numpy_ else "numpy"
-
-
 @dataclass(frozen=True)
 class FormatScore:
     """One candidate format's storage and modeled runtime."""

@@ -385,7 +385,7 @@ class TestKernelIntegration:
             try:
                 for _ in range(n):
                     coo_mttkrp(x, mats, 0, backend, method="atomic",
-                               schedule="dynamic", tier="numpy")
+                               schedule="dynamic")
             finally:
                 backend.shutdown()
 

@@ -39,6 +39,7 @@ from repro.bench.pool import (
 )
 from repro.bench.worker import BundleCache
 from repro.roofline.platform import get_platform
+from repro.types import Kernel
 
 from test_executor import TINY_SPEC, tiny_cases
 
@@ -103,6 +104,22 @@ class TestBundleReuse:
             )
             after = [(a.dtype, a.shape, a.tobytes()) for a in bundle_arrays(bundle)]
             assert after == before, f"{case.kernel}/{case.fmt} on {case.platform}"
+
+    def test_nbytes_counts_what_a_host_timed_mttkrp_caches(self):
+        cfg = RunnerConfig(
+            measure_host=True, repeats=1, warmup=0, kernels=(Kernel.MTTKRP,)
+        )
+        cases = enumerate_cases({"tiny": TINY_SPEC}, cfg, platforms=("Bluesky",))
+        bundle = prepare_bundle(cases[0])
+        bundle.matrices  # draw the operands so only the kernel's caches remain
+        for case in cases:
+            tensor = bundle.coo if case.fmt == "coo" else bundle.hicoo
+            before, cached = bundle.nbytes, tensor.cache_nbytes
+            SuiteRunner(get_platform(case.platform), case.runner_config()).run_kernel(
+                bundle, case.kernel, case.fmt
+            )
+            grown = tensor.cache_nbytes - cached
+            assert grown > 0 and bundle.nbytes == before + grown, case.fmt
 
     def test_cache_hits_and_evicts_least_recently_used(self):
         a, b, c = tiny_cases(names=("a", "b", "c"))

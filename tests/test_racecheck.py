@@ -173,6 +173,19 @@ class TestMutationSelfTest:
         report = rc.history[-1]
         assert report.writes == 100 and report.overlaps == 0
 
+    def test_untouched_nan_is_not_a_write(self, rc):
+        # np.empty outputs may hold NaN garbage, which is unequal to
+        # itself: only elements a chunk actually wrote count as writes.
+        out = np.full(100, np.nan)
+
+        def body(lo, hi):
+            out[lo:hi] = 1.0
+
+        with rc.check_output(out, "disjoint"):
+            rc.parallel_for(100, body, schedule="dynamic", chunk=16)
+        report = rc.history[-1]
+        assert report.writes == 100 and report.overlaps == 0
+
     def test_violation_message_names_coordinates(self, rc):
         rows = np.zeros(64, dtype=np.int64)  # every update hits row 0
         contrib = np.ones((64, 2))
