@@ -7,16 +7,14 @@ contention-free updates; owner-computes pre-buckets non-zeros by disjoint
 output-row ranges so no synchronization is needed at all (and results are
 bit-identical to the sequential kernel).  Contention depends on the
 tensor: power-law tensors hammer hub rows, Kronecker tensors spread more
-evenly.  The threaded ``atomic`` path is additionally ablated over its
-privatization strategy: per-thread arenas vs the per-chunk buffers the
-seed implementation used (see ``bench_hotpaths.py`` for the tracked
-comparison).
+evenly.  ``atomic`` executes as owner-computes too; the performance
+model still charges it for atomics (see ``bench_hotpaths.py`` for the
+tracked threaded timings).
 """
 
 import pytest
 
 from repro.kernels import coo_mttkrp
-from repro.parallel import OpenMPBackend
 
 METHODS = ["atomic", "sort", "owner"]
 
@@ -39,22 +37,6 @@ def test_mttkrp_method_kronecker(benchmark, bench_kron_tensor, method):
         lambda: coo_mttkrp(bench_kron_tensor, mats, 0, method=method)
     )
     assert out.shape[0] == bench_kron_tensor.shape[0]
-
-
-@pytest.mark.parametrize("privatize", ["arena", "chunk"])
-def test_mttkrp_privatization(benchmark, bench_tensor, bench_mats, privatize):
-    """Per-thread arenas vs the seed's per-chunk buffers (dynamic schedule)."""
-    be = OpenMPBackend(nthreads=4)
-    try:
-        out = benchmark(
-            lambda: coo_mttkrp(
-                bench_tensor, bench_mats, 0, backend=be,
-                schedule="dynamic", privatize=privatize,
-            )
-        )
-        assert out.shape == (bench_tensor.shape[0], 16)
-    finally:
-        be.shutdown()
 
 
 def test_methods_agree(bench_tensor, bench_mats):

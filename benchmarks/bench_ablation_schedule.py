@@ -2,12 +2,13 @@
 
 The paper parallelizes with "different scheduling strategies"; this
 ablation times the fiber-parallel Ttv (the imbalance-sensitive kernel)
-under each schedule, on the thread backend.
+under each schedule, on the thread backend.  Mttkrp takes no schedule: its
+threads own output-row ranges (``bench_ablation_mttkrp.py``).
 """
 
 import pytest
 
-from repro.kernels import coo_ttv, coo_mttkrp
+from repro.kernels import coo_ttv
 from repro.parallel import OpenMPBackend
 from repro.types import Schedule
 
@@ -27,11 +28,3 @@ def test_ttv_schedule(benchmark, bench_tensor, bench_vectors, omp, schedule):
     )
     assert out.nnz > 0
 
-
-@pytest.mark.parametrize("schedule", [Schedule.STATIC, Schedule.DYNAMIC])
-def test_mttkrp_schedule(benchmark, bench_tensor, bench_mats, omp, schedule):
-    out = benchmark(
-        lambda: coo_mttkrp(bench_tensor, bench_mats, 0, backend=omp,
-                           schedule=schedule)
-    )
-    assert out.sum() != 0

@@ -1,17 +1,18 @@
-"""Hot-path harness: kernel × format × method × schedule wall-clock.
+"""Hot-path harness: kernel × format × method × backend wall-clock.
 
-Times the scatter-add kernels (Mttkrp on COO/HiCOO) and the fiber-parallel
-kernels (Ttv/Ttm) across update methods (``atomic`` with arena vs per-chunk
-privatization, ``sort``, ``owner``), schedules and backends, and writes
+Times the scatter-add kernels (Mttkrp on COO/HiCOO) across update methods
+(``atomic``, ``sort``, ``owner``) and backends, and the fiber-parallel
+kernels (Ttv/Ttm) across fiber partitions, and writes
 ``BENCH_kernels.json`` at the repo root.  The JSON is committed so every
 PR has a perf trajectory to compare against:
 
     PYTHONPATH=src python benchmarks/bench_hotpaths.py            # full
     PYTHONPATH=src python benchmarks/bench_hotpaths.py --quick    # CI smoke
 
-Sequential rows run the plan path and OpenMP rows the chunked loops (see
-``repro.kernels.plans``).  One-time plan construction lands in
-warmup; the ``plan.build_seconds`` registry delta around it is reported
+Every backend runs the same lowering (see ``repro.kernels.plans``): the
+OpenMP Mttkrp rows split the output rows into one owner range per thread,
+the sequential rows run one range.  One-time plan construction (segment
+plans, owner partitions) lands in warmup; the ``plan.build_seconds`` registry delta around it is reported
 as ``compile_s`` per entry so ``median_s`` stays steady-state.  Each
 entry is also attributed against the Bluesky CPU roofline
 (``bound_fraction = achieved / min(peak, OI x ERT-DRAM)``), and carries
@@ -20,12 +21,9 @@ the host has CPUs, so it is not a scaling measurement.
 
 Invariants asserted and recorded under ``checks``:
 
-* the per-thread arena path beats the seed's per-chunk privatization on
-  COO-Mttkrp (dynamic schedule, >= 4 threads);
 * ``method="owner"`` is bit-identical to the sequential kernel;
-* the plan path is bit-identical to the chunked loops on COO/HiCOO
-  Mttkrp (every method), Ttv and Ttm (sequential backend vs a one-thread
-  chunk-order chaos backend).
+* the OpenMP backend is bit-identical to the sequential backend on
+  COO/HiCOO Mttkrp (every method), Ttv and Ttm.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from repro.kernels import coo_mttkrp, coo_ttm, coo_ttv, hicoo_mttkrp
 from repro.obs import Tracer, analyze, chrome_trace
 from repro.obs.attribution import attribute
 from repro.obs.registry import get_metrics
-from repro.parallel import ChaosBackend, OpenMPBackend, get_backend
+from repro.parallel import OpenMPBackend, get_backend
 from repro.roofline import BLUESKY, RooflineModel
 from repro.roofline.oi import cost_for, extract_features
 from repro.sptensor import HiCOOTensor
@@ -127,35 +125,20 @@ def run(quick: bool, nthreads: int, reps: int, trace_path: str | None = None) ->
         results.append(entry)
         return entry
 
-    timings = {}
-    # --- Mttkrp: the scatter-add ablation ------------------------------ #
+    # --- Mttkrp: the scatter-add methods ------------------------------ #
     record("mttkrp", "coo", "sequential", 1,
            lambda: coo_mttkrp(x, mats, 0, seq), method="atomic")
-    for schedule in ("static", "dynamic"):
-        for privatize in ("arena", "chunk"):
-            e = record(
-                "mttkrp", "coo", "openmp", nthreads,
-                lambda s=schedule, p=privatize: coo_mttkrp(
-                    x, mats, 0, omp, method="atomic", schedule=s, privatize=p,
-                ),
-                method="atomic", schedule=schedule, privatize=privatize,
-            )
-            timings[(schedule, privatize)] = e["median_s"]
-    for method in ("sort", "owner"):
+    for method in ("atomic", "sort", "owner"):
         record("mttkrp", "coo", "openmp", nthreads,
                lambda m=method: coo_mttkrp(x, mats, 0, omp, method=m),
                method=method)
 
     record("mttkrp", "hicoo", "sequential", 1,
            lambda: hicoo_mttkrp(h, mats, 0, seq), method="atomic")
-    for privatize in ("arena", "chunk"):
+    for method in ("atomic", "owner"):
         record("mttkrp", "hicoo", "openmp", nthreads,
-               lambda p=privatize: hicoo_mttkrp(
-                   h, mats, 0, omp, method="atomic", privatize=p),
-               method="atomic", schedule="dynamic", privatize=privatize)
-    record("mttkrp", "hicoo", "openmp", nthreads,
-           lambda: hicoo_mttkrp(h, mats, 0, omp, method="owner"),
-           method="owner")
+               lambda m=method: hicoo_mttkrp(h, mats, 0, omp, method=m),
+               method=method)
 
     # --- Ttv / Ttm: fiber partitioning --------------------------------- #
     for partition in ("uniform", "balanced"):
@@ -170,29 +153,21 @@ def run(quick: bool, nthreads: int, reps: int, trace_path: str | None = None) ->
     ref = coo_mttkrp(x, mats, 0, seq)
     owner_seq = coo_mttkrp(x, mats, 0, seq, method="owner")
     owner_par = coo_mttkrp(x, mats, 0, omp, method="owner")
-    # Plan path (sequential backend) vs chunked loops: a one-thread chaos
-    # backend without shuffling always runs the chunks, in chunk order.
-    chunked = ChaosBackend(OpenMPBackend(nthreads=1), shuffle=False)
     pairs = [
-        (fn(t, mats, 0, seq, method=m), fn(t, mats, 0, chunked, method=m))
+        (fn(t, mats, mode, seq, method=m), fn(t, mats, mode, omp, method=m))
         for fn, t in ((coo_mttkrp, x), (hicoo_mttkrp, h))
         for m in ("atomic", "sort", "owner")
+        for mode in range(x.nmodes)
     ]
     pairs.append((coo_ttv(x, vec, 1, seq).values,
-                  coo_ttv(x, vec, 1, chunked).values))
+                  coo_ttv(x, vec, 1, omp).values))
     pairs.append((coo_ttm(x, u, 1, seq).values,
-                  coo_ttm(x, u, 1, chunked).values))
-    chunked.shutdown()
-
-    arena_s = timings[("dynamic", "arena")]
-    chunk_s = timings[("dynamic", "chunk")]
+                  coo_ttm(x, u, 1, omp).values))
     checks = {
-        "arena_beats_chunk_coo_dynamic": bool(arena_s < chunk_s),
-        "arena_speedup_vs_chunk_dynamic": round(chunk_s / arena_s, 3),
         "owner_bitidentical_to_sequential": bool(
             np.array_equal(ref, owner_seq) and np.array_equal(ref, owner_par)
         ),
-        "plans_bitidentical_to_chunked": all(
+        "openmp_bitidentical_to_sequential": all(
             np.array_equal(a, b) for a, b in pairs
         ),
     }
@@ -242,7 +217,7 @@ def main() -> None:
     ap.add_argument("--out", default=DEFAULT_OUT,
                     help=f"output JSON path (default {DEFAULT_OUT})")
     ap.add_argument("--threads", type=int, default=max(4, os.cpu_count() or 1),
-                    help="OpenMP backend thread count (>= 4 for the ablation)")
+                    help="OpenMP backend thread count")
     ap.add_argument("--reps", type=int, default=None,
                     help="timing repetitions (default 3 quick / 7 full)")
     ap.add_argument("--trace", metavar="PATH", default=None,
@@ -259,13 +234,8 @@ def main() -> None:
         print(f"  {key}: {val}")
     if not report["checks"]["owner_bitidentical_to_sequential"]:
         raise SystemExit("FAIL: owner method not bit-identical to sequential")
-    if not report["checks"]["plans_bitidentical_to_chunked"]:
-        raise SystemExit("FAIL: plan path not bit-identical to chunked loops")
-    # Timing checks are only meaningful at full size; the quick smoke's
-    # tiny tensor produces too few chunks for a stable margin on noisy CI.
-    if not args.quick:
-        if not report["checks"]["arena_beats_chunk_coo_dynamic"]:
-            raise SystemExit("FAIL: arena privatization did not beat per-chunk")
+    if not report["checks"]["openmp_bitidentical_to_sequential"]:
+        raise SystemExit("FAIL: OpenMP backend not bit-identical to sequential")
 
 
 if __name__ == "__main__":

@@ -577,14 +577,8 @@ def _cmd_trace(args) -> int:
     backend = OpenMPBackend(nthreads=args.nthreads)
     kernels = {
         "mttkrp": {
-            "coo": lambda be: coo_mttkrp(
-                coo, mats, args.mode, be,
-                method=args.method, schedule=args.schedule,
-            ),
-            "hicoo": lambda be: hicoo_mttkrp(
-                x, mats, args.mode, be,
-                method=args.method, schedule=args.schedule,
-            ),
+            "coo": lambda be: coo_mttkrp(coo, mats, args.mode, be, method=args.method),
+            "hicoo": lambda be: hicoo_mttkrp(x, mats, args.mode, be, method=args.method),
         },
         "ttv": {
             "coo": lambda be: coo_ttv(coo, vec, args.mode, be, schedule=args.schedule),
@@ -885,6 +879,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument(
         "--schedule", default="dynamic",
         choices=["static", "dynamic", "guided"],
+        help="Ttv/Ttm loop schedule (Mttkrp threads own output-row ranges)",
     )
     p_trace.add_argument("--block-size", type=int, default=128)
     p_trace.add_argument("--repeats", type=int, default=1)

@@ -11,7 +11,7 @@ operations"); Ttm is the dense-operand special case of that contraction.
 Output-access contracts
 -----------------------
 Every parallel kernel's race-freedom rests on a claim about how its chunk
-decomposition writes the shared output.  :class:`Access` names the four
+decomposition writes the shared output.  :class:`Access` names the two
 disciplines the suite uses, kernels declare theirs with the
 :func:`declares_output` decorator (per update ``method`` where the
 strategy is selectable), and
@@ -45,26 +45,15 @@ from repro.util.validation import check_mode
 class Access(str, enum.Enum):
     """How a kernel's chunks write their shared output.
 
-    ``ATOMIC``
-        Chunks may write overlapping elements; every write is mediated by
-        a commutative reduction (``np.add.at`` standing in for
-        ``omp atomic``), so overlap is declared-safe.
     ``OWNER``
         Chunks own disjoint contiguous output ranges (owner-computes);
         no two chunks may touch the same element.
-    ``WORKSPACE``
-        Chunks write only thread-private :class:`~repro.parallel.
-        workspace.WorkspacePool` arenas; the shared output changes only
-        in the post-loop reduction (dense-workspace discipline of
-        Kjolstad et al., arXiv 1802.10574).
     ``DISJOINT``
         Chunks write disjoint output elements by construction (fiber- or
         element-parallel loops; per-nnz disjointness).
     """
 
-    ATOMIC = "atomic"
     OWNER = "owner"
-    WORKSPACE = "workspace"
     DISJOINT = "disjoint"
 
 
@@ -74,7 +63,7 @@ class OutputContract:
 
     ``access`` is either a single :class:`Access` (the kernel has one
     strategy) or a mapping from the kernel's ``method`` argument values to
-    the :class:`Access` each method runs under a threaded backend.
+    the :class:`Access` each method's chunks write under.
     """
 
     kernel: str

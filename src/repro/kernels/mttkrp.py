@@ -15,28 +15,21 @@ atomic adds (``omp atomic`` / CUDA ``atomicAdd``); HiCOO-Mttkrp (paper
 Algorithm 2) parallelizes over tensor blocks, slicing the factor matrices
 per block so rows are reused while a block's entries are processed.
 
-NumPy notes: ``np.add.at`` is the race-free scatter-add primitive — it is
-the single-thread semantics of an atomic loop.  Three update strategies
-make the multi-threaded kernels race-free:
+Three update methods, each with one lowering that runs on every backend
+(see :mod:`repro.kernels.plans`):
 
-* ``method="atomic"`` — each worker thread accumulates into a private
-  arena from a shared :class:`~repro.parallel.workspace.WorkspacePool`
-  (one buffer per *thread*, reused across every chunk it runs) and the
-  arenas are tree-reduced into the output once.  The *performance model*
-  still charges the kernel for atomic behaviour, so the benchmark's
-  reported characteristics match the paper's algorithm.
+* ``method="atomic"`` (the paper's algorithm) and ``method="owner"`` —
+  owner-computes: the output rows are split into one contiguous range per
+  thread (:mod:`repro.parallel.ownership`), each thread gathers the
+  contributions of the entries in its rows and adds them with one
+  unbuffered ``np.add.at`` (the single-thread semantics of an atomic
+  loop), in storage order.  Rows have one owner each, so no update
+  races and the result is bit-identical to the sequential kernel.  The
+  *performance model* still charges ``atomic`` for atomic behaviour, so
+  the benchmark's reported characteristics match the paper's algorithm.
 * ``method="sort"`` — sort updates by output row, segmented reduce (the
-  lock-avoiding alternative the paper cites).
-* ``method="owner"`` — owner-computes: non-zeros (or HiCOO blocks) are
-  pre-bucketed by disjoint output-row ranges so each thread owns a slice
-  of ``out`` and needs no privatization or atomics at all; the stable
-  bucketing keeps results bit-identical to the sequential kernel (see
-  :mod:`repro.parallel.ownership`).
-
-Plain sequential execution runs none of these chunked loops: it takes the
-plan path of :mod:`repro.kernels.plans` (one flattened ``np.add.at`` for
-``atomic``/``owner``, one cached segmented reduce for ``sort``), which
-replays the same floating-point schedule and so returns the same bits.
+  lock-avoiding alternative the paper cites), over a segment plan cached
+  on the tensor.
 """
 
 from __future__ import annotations
@@ -46,25 +39,17 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.types import Schedule
 from repro.obs.registry import get_metrics
 from repro.obs.tracer import CAT_KERNEL, current_tracer
 from repro.kernels.contract import Access, declares_output
-from repro.kernels.plans import scatter_plan, scatter_rows, uses_plans
-from repro.parallel.atomic import atomic_add_rows, sorted_reduce_rows
+from repro.kernels.plans import owner_plan, scatter_plan, scatter_rows
 from repro.parallel.backend import Backend, get_backend
-from repro.parallel.ownership import owner_partition
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.hicoo import HiCOOTensor
 from repro.util.validation import check_mode
 
 #: Update strategies shared by the COO and HiCOO kernels.
 MTTKRP_METHODS = ("atomic", "sort", "owner")
-
-#: Privatization strategies for the ``atomic`` method under a threaded
-#: backend.  ``"chunk"`` reproduces the seed's per-chunk buffers and is
-#: kept only as the baseline of the hot-path ablation harness.
-PRIVATIZE_MODES = ("arena", "chunk")
 
 
 def _check_matrices(shape, mats: Sequence[np.ndarray], mode: int) -> list:
@@ -98,15 +83,10 @@ def _check_matrices(shape, mats: Sequence[np.ndarray], mode: int) -> list:
     return out
 
 
-def _check_method(method: str, privatize: str, schedule) -> None:
-    Schedule.coerce(schedule)
+def _check_method(method: str) -> None:
     if method not in MTTKRP_METHODS:
         raise ValueError(
             f"unknown Mttkrp method {method!r}; expected one of {MTTKRP_METHODS}"
-        )
-    if privatize not in PRIVATIZE_MODES:
-        raise ValueError(
-            f"unknown privatization {privatize!r}; expected one of {PRIVATIZE_MODES}"
         )
 
 
@@ -115,51 +95,28 @@ def _row_contributions(
     values: np.ndarray,
     mats: Sequence,
     dtype,
-    lo: int = 0,
-    hi: int | None = None,
-    sel: np.ndarray | None = None,
+    sel: "slice | np.ndarray" = slice(None),
 ) -> np.ndarray:
     """``contrib[k, :] = x_k * prod_{m != mode} U(m)[i_m(k), :]``.
 
     ``cols`` holds one canonical int64 index column per mode (``None`` at
     the product mode, whose matrix is also ``None``) so no per-call
-    ``astype`` copies happen here.  Entries are selected either by the
-    contiguous range ``[lo, hi)`` or by the explicit index array ``sel``
-    (the owner-computes path, whose buckets are not contiguous).
+    ``astype`` copies happen here.  ``sel`` picks the entries: a
+    contiguous storage range, or an owner's index array when its entries
+    are not contiguous in storage.
     """
-    if sel is None:
-        hi = len(values) if hi is None else hi
-        pick = slice(lo, hi)
-    else:
-        pick = sel
-    contrib = values[pick].astype(dtype, copy=True)[:, None]
+    contrib = values[sel].astype(dtype, copy=True)[:, None]
     first = True
     for col, u in zip(cols, mats):
         if u is None:
             continue
-        rows = u[col[pick], :]
+        rows = u[col[sel], :]
         if first:
             contrib = contrib * rows
             first = False
         else:
             contrib *= rows
     return contrib
-
-
-def _plan_mttkrp(x, rows, cols, mats, out, method: str, tag) -> np.ndarray:
-    """The plan-path Mttkrp over a prepared (rows, cols) entry stream.
-
-    ``atomic`` and ``owner`` scatter in storage order, as ``np.add.at``
-    does in the chunked loops; ``sort`` reduces pairwise with
-    ``np.add.reduceat`` over the tensor's cached segments, as
-    ``sorted_reduce_rows`` does.
-    """
-    contrib = _row_contributions(cols, x.values, mats, out.dtype)
-    if method == "sort":
-        scatter_plan(x, rows, tag).reduce_segments(out, contrib)
-    else:
-        scatter_rows(out, rows, contrib)
-    return out
 
 
 def _count_mttkrp(nnz: int, r: int, method: str) -> None:
@@ -169,113 +126,46 @@ def _count_mttkrp(nnz: int, r: int, method: str) -> None:
     metrics.inc("kernel.flops", 3.0 * nnz * r)
     if method == "atomic":
         # The model charges the paper's algorithm: one scatter-add per
-        # (entry, rank column), whatever privatization executes it.
+        # (entry, rank column), although row owners execute it.
         metrics.inc("kernel.atomics_issued", nnz * r)
 
 
-def _scatter_add_parallel(
-    out: np.ndarray,
-    rows: np.ndarray,
-    make_contrib,
-    total: int,
-    backend: Backend,
-    schedule: "Schedule | str",
-    chunk: int | None,
-    privatize: str,
-    entry_range,
-) -> None:
-    """Run the privatized scatter-add loop for the ``atomic`` method.
+def _mttkrp(x, rows, cols, mats, out, method: str, backend: Backend, tag) -> np.ndarray:
+    """The one Mttkrp lowering over a prepared (rows, cols) entry stream.
 
-    ``make_contrib(lo, hi)`` produces the contribution rows of the entry
-    range ``[lo, hi)``; ``entry_range(blo, bhi)`` maps a loop-iteration
-    range to an entry range (identity for COO, ``bptr`` lookup for HiCOO
-    blocks).  Threaded backends privatize into per-thread arenas (or the
-    seed's per-chunk buffers when ``privatize="chunk"``); the sequential
-    backend scatters straight into ``out``.
+    ``sort`` reduces each row's contributions pairwise over the tensor's
+    cached segments.  ``atomic`` and ``owner`` run one ``map_ranges``
+    range per output-row owner; each range scatters its own entries in
+    storage order into rows no other range writes.  One thread owns every
+    row: its range is ``[0, nnz)`` in storage order and no partition is
+    built.
     """
-    threaded = backend.is_threaded
-    if not threaded:
-        def body(blo: int, bhi: int) -> None:
-            lo, hi = entry_range(blo, bhi)
-            if hi <= lo:
-                return
-            atomic_add_rows(out, rows[lo:hi], make_contrib(lo, hi))
-
-        with backend.check_output(out, Access.ATOMIC):
-            backend.parallel_for(total, body, schedule=schedule, chunk=chunk)
-        return
-
-    if privatize == "chunk":
-        # Seed baseline: one full-size private buffer per *chunk* — an
-        # unbounded O(nchunks) allocation + reduction pattern, kept only
-        # so the harness can measure what the arena pool saves.
-        partials: dict[tuple[int, int], np.ndarray] = {}
-
-        def body(blo: int, bhi: int) -> None:
-            lo, hi = entry_range(blo, bhi)
-            if hi <= lo:
-                return
-            local = np.zeros_like(out)
-            atomic_add_rows(local, rows[lo:hi], make_contrib(lo, hi))
-            partials[(lo, hi)] = local
-
-        with backend.check_output(out, Access.WORKSPACE):
-            backend.parallel_for(total, body, schedule=schedule, chunk=chunk)
-        for local in partials.values():
-            out += local
-        return
-
-    tracer = current_tracer()
-
-    with backend.workspace(out.shape, out.dtype) as pool:
-        def body(blo: int, bhi: int) -> None:
-            lo, hi = entry_range(blo, bhi)
-            if hi <= lo:
-                return
-            if tracer.enabled:
-                # Enrich the enclosing chunk span: iteration ranges are
-                # blocks for HiCOO, so record the *entry* count the chunk
-                # actually moved (what load-imbalance is made of).
-                tracer.annotate(entries=hi - lo)
-            atomic_add_rows(pool.acquire(), rows[lo:hi], make_contrib(lo, hi))
-
-        with backend.check_output(out, Access.WORKSPACE):
-            backend.parallel_for(total, body, schedule=schedule, chunk=chunk)
-        # The invariant the per-chunk scheme violated: private buffers
-        # are bounded by the thread count, never the chunk count.
-        assert pool.narenas <= backend.nthreads
-        pool.reduce_into(out)
-
-
-def _owner_scatter(
-    out: np.ndarray,
-    rows: np.ndarray,
-    cols,
-    values,
-    mats,
-    dtype,
-    backend: Backend,
-    align: int = 1,
-) -> None:
-    """Owner-computes scatter: bucket entries by output-row owner, then
-    each range gathers and reduces its own disjoint slice of ``out``."""
-    part = owner_partition(rows, out.shape[0], backend.nthreads, align=align)
+    if method == "sort":
+        contrib = _row_contributions(cols, x.values, mats, out.dtype)
+        scatter_plan(x, rows, tag).reduce_segments(out, contrib)
+        return out
+    if backend.nthreads == 1:
+        order, ranges = None, [(0, len(rows))]
+    else:
+        part = owner_plan(x, rows, out.shape[0], tag, backend.nthreads)
+        order, ranges = part.order, part.entry_ranges()
     tracer = current_tracer()
 
     def body(lo: int, hi: int) -> None:
-        sel = part.order[lo:hi]
         if tracer.enabled:
-            tracer.annotate(entries=len(sel))
-        contrib = _row_contributions(cols, values, mats, dtype, sel=sel)
-        atomic_add_rows(out, rows[sel], contrib)
+            tracer.annotate(entries=hi - lo)
+        sel = slice(lo, hi) if order is None else order[lo:hi]
+        contrib = _row_contributions(cols, x.values, mats, out.dtype, sel)
+        scatter_rows(out, rows[sel], contrib)
 
     with backend.check_output(out, Access.OWNER):
-        backend.map_ranges(part.entry_ranges(), body)
+        backend.map_ranges(ranges, body)
+    return out
 
 
 @declares_output(by_method={
-    "atomic": Access.WORKSPACE,  # threaded: per-thread arenas, reduced once
-    "sort": Access.DISJOINT,     # segmented reduce writes each row once
+    "atomic": Access.OWNER,    # owner-computes ranges, np.add.at per owner
+    "sort": Access.DISJOINT,   # segmented reduce writes each row once
     "owner": Access.OWNER,
 })
 def coo_mttkrp(
@@ -284,10 +174,9 @@ def coo_mttkrp(
     mode: int,
     backend: "Backend | str | None" = None,
     method: str = "atomic",
-    schedule: "Schedule | str" = Schedule.STATIC,
-    privatize: str = "arena",
 ) -> np.ndarray:
-    """COO-Mttkrp parallelized by non-zeros (ParTI's algorithm).
+    """COO-Mttkrp parallelized by output-row owners (ParTI's algorithm
+    with the atomics replaced by row ownership).
 
     Parameters
     ----------
@@ -295,23 +184,16 @@ def coo_mttkrp(
         One ``(I_m, R)`` matrix per mode; the entry at ``mode`` is ignored
         (may be ``None``).
     method:
-        ``"atomic"`` — scatter-add per chunk into per-thread arenas (the
-        paper's algorithm); ``"sort"`` — sort-by-output-row then segmented
-        reduce; ``"owner"`` — owner-computes row partitioning, race-free
-        with no privatization and bit-identical to the sequential kernel.
-    privatize:
-        Arena strategy for the threaded ``atomic`` method: ``"arena"``
-        (per-thread workspace pool, the default) or ``"chunk"`` (the seed's
-        per-chunk buffers, kept as the harness ablation baseline).
-
-    Plain sequential execution takes the plan path whatever the method;
-    threaded and chunk-checking backends run the chunked loops.
+        ``"atomic"`` (the paper's algorithm, modeled with atomics) and
+        ``"owner"`` — owner-computes row ranges, one per thread;
+        ``"sort"`` — sort-by-output-row then segmented reduce.  Every
+        method returns the same bits on every backend.
 
     Returns the updated dense matrix ``(I_mode, R)``.
     """
     mode = check_mode(mode, x.nmodes)
     mats = _check_matrices(x.shape, mats, mode)
-    _check_method(method, privatize, schedule)
+    _check_method(method)
     backend = get_backend(backend)
     r = next(u.shape[1] for u in mats if u is not None)
     dtype = np.result_type(x.values, *[u for u in mats if u is not None])
@@ -329,30 +211,11 @@ def coo_mttkrp(
             for m in range(x.nmodes)
         ]
         rows = x.index_column(mode)
-
-        if uses_plans(backend):
-            return _plan_mttkrp(x, rows, cols, mats, out, method, tag=mode)
-
-        if method == "sort":
-            contrib = _row_contributions(cols, x.values, mats, dtype)
-            sorted_reduce_rows(out, rows, contrib)
-            return out
-        if method == "owner":
-            _owner_scatter(out, rows, cols, x.values, mats, dtype, backend)
-            return out
-
-        def make_contrib(lo: int, hi: int) -> np.ndarray:
-            return _row_contributions(cols, x.values, mats, dtype, lo, hi)
-
-        _scatter_add_parallel(
-            out, rows, make_contrib, x.nnz, backend, schedule, None, privatize,
-            entry_range=lambda lo, hi: (lo, hi),
-        )
-        return out
+        return _mttkrp(x, rows, cols, mats, out, method, backend, tag=mode)
 
 
 @declares_output(by_method={
-    "atomic": Access.WORKSPACE,
+    "atomic": Access.OWNER,
     "sort": Access.DISJOINT,
     "owner": Access.OWNER,
 })
@@ -362,25 +225,20 @@ def hicoo_mttkrp(
     mode: int,
     backend: "Backend | str | None" = None,
     method: str = "atomic",
-    schedule: "Schedule | str" = Schedule.DYNAMIC,
-    blocks_per_chunk: int = 32,
-    privatize: str = "arena",
 ) -> np.ndarray:
-    """HiCOO-Mttkrp (paper Algorithm 2) parallelized by tensor *blocks*.
+    """HiCOO-Mttkrp (paper Algorithm 2) over the blocked entry stream.
 
     For each block ``b``, the factor matrices are sliced at the block
     offsets (``Ab = A + bi·B·R`` etc.) and the block's entries update the
     sliced output with 8-bit element indices — matrix rows are reused
     across the block, which is where HiCOO-Mttkrp's smaller memory traffic
-    (Table 1) comes from.  Blocks may collide on output rows, so the
-    ``atomic`` method privatizes into per-thread arenas exactly like the
-    COO path; ``method="owner"`` instead buckets entries by output-row
-    ranges *aligned to block boundaries* (a block is never split between
-    owners), making the update conflict-free with no privatization.
+    (Table 1) comes from.  Blocks may collide on output rows, so threads
+    own output-row ranges, exactly like the COO kernel; a block whose
+    rows straddle two ranges is shared by both owners.
     """
     mode = check_mode(mode, x.nmodes)
     mats = _check_matrices(x.shape, mats, mode)
-    _check_method(method, privatize, schedule)
+    _check_method(method)
     backend = get_backend(backend)
     r = next(u.shape[1] for u in mats if u is not None)
     dtype = np.result_type(x.values, *[u for u in mats if u is not None])
@@ -399,27 +257,4 @@ def hicoo_mttkrp(
             for m in range(x.nmodes)
         ]
         rows = x.global_row(mode)
-
-        if uses_plans(backend):
-            return _plan_mttkrp(x, rows, cols, mats, out, method, tag=mode)
-
-        if method == "sort":
-            contrib = _row_contributions(cols, x.values, mats, dtype)
-            sorted_reduce_rows(out, rows, contrib)
-            return out
-        if method == "owner":
-            _owner_scatter(
-                out, rows, cols, x.values, mats, dtype, backend,
-                align=x.block_size,
-            )
-            return out
-
-        def make_contrib(lo: int, hi: int) -> np.ndarray:
-            return _row_contributions(cols, x.values, mats, dtype, lo, hi)
-
-        _scatter_add_parallel(
-            out, rows, make_contrib, x.nblocks, backend, schedule,
-            blocks_per_chunk, privatize,
-            entry_range=lambda blo, bhi: (int(x.bptr[blo]), int(x.bptr[bhi])),
-        )
-        return out
+        return _mttkrp(x, rows, cols, mats, out, method, backend, tag=mode)

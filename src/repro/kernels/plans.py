@@ -1,35 +1,26 @@
-"""The plan path: the lowering plain sequential kernel calls run.
+"""Cached structure and whole-array primitives of the kernel lowerings.
 
-Each kernel cell has two lowerings, and the backend alone picks one
-(:func:`uses_plans`):
+Every kernel cell has one lowering, and it runs on every backend:
 
-* **plain sequential execution** runs the *plan path* — one whole-array
-  pass per call, with the structural work the ``sort`` method needs
-  cached on the tensor;
-* **threaded and chunk-checking backends** (``OpenMPBackend`` with more
-  than one thread, ``RaceCheckBackend``, ``ChaosBackend``) run the
-  chunked ``backend.parallel_for`` loops, whose chunks are what the
-  correctness backends replay, perturb and fail.
-
-Both lowerings run the same floating-point schedule, so they are
-bit-identical:
-
-* Mttkrp ``atomic``/``owner`` — one ``np.add.at`` over the flattened
-  output (:func:`scatter_rows`), which adds each cell's summands in
-  storage order as the chunked ``np.add.at`` does;
+* Mttkrp ``atomic``/``owner`` — one ``backend.map_ranges`` range per
+  output-row owner (:class:`~repro.parallel.ownership.OwnerPartition`);
+  each range scatters its entries with :func:`scatter_rows`, in storage
+  order.  With one thread the range is ``[0, nnz)`` and no partition is
+  built;
 * Mttkrp ``sort`` — one ``np.add.reduceat`` over plan-cached segment
-  starts, the same pairwise reduction ``sorted_reduce_rows`` runs;
-* Ttv/Ttm fibers and Tew/Ts values — one whole-array ``reduceat`` or
-  ufunc call (a segment's or an element's result never depends on the
-  chunk it lands in).
+  starts (:class:`ScatterPlan`);
+* Ttv/Ttm fibers and Tew/Ts values — ``backend.parallel_for`` chunks,
+  which the sequential backend runs as one whole-array chunk.
 
-A :class:`ScatterPlan` is the stable row-sort permutation and segment
-boundaries of one row stream.  Plans live in the tensor's ``_plan_cache``
-slot, so a CP-ALS sweep or a benchmark rep loop builds each plan once;
-``COOTensor.sort()`` invalidates the cache along with the index-column
-cache.  Plan builds are counted in the metrics registry (``plan.builds``,
-``plan.build_seconds``) so the benchmark harness can report them apart
-from steady-state medians.
+Each output row or element is written by one range or chunk, with the
+same floating-point schedule whatever the thread count, so every backend
+returns the same bits as the sequential one.
+
+Plans live in the tensor's ``_plan_cache`` slot, so a CP-ALS sweep or a
+benchmark rep loop builds each plan once; ``COOTensor.sort()``
+invalidates the cache along with the index-column cache.  Plan builds are
+counted in the metrics registry (``plan.builds``, ``plan.build_seconds``)
+so the benchmark harness can report them apart from steady-state medians.
 """
 
 from __future__ import annotations
@@ -39,11 +30,7 @@ import time
 import numpy as np
 
 from repro.obs.registry import get_metrics
-
-
-def uses_plans(backend) -> bool:
-    """Whether a kernel call under ``backend`` runs the plan path."""
-    return not (backend.is_threaded or backend.chunked_only)
+from repro.parallel.ownership import OwnerPartition, owner_partition
 
 
 def _record_plan_build(seconds: float, what: str) -> None:
@@ -60,10 +47,9 @@ _SCATTER_BLOCK = 1 << 14
 def scatter_rows(out: np.ndarray, rows: np.ndarray, contrib: np.ndarray) -> None:
     """``out[rows[k], :] += contrib[k, :]`` for every ``k``, in storage order.
 
-    The same unbuffered ``np.add.at`` the chunked loops run, applied to
-    the flattened output so NumPy takes its fast one-dimensional path;
-    each output cell still receives its summands in storage order, so
-    the result is bit-identical.  ``out`` must be C-contiguous.
+    An unbuffered ``np.add.at`` on the flattened output, so NumPy takes
+    its fast one-dimensional path; each output cell receives its summands
+    in storage order.  ``out`` must be C-contiguous.
     """
     r = out.shape[1]
     flat = out.reshape(-1)
@@ -117,8 +103,8 @@ class ScatterPlan:
         return sum(a.nbytes for a in arrays)
 
     def reduce_segments(self, out: np.ndarray, contrib: np.ndarray) -> None:
-        """The stable-order pairwise ``np.add.reduceat`` that
-        ``sorted_reduce_rows`` runs, per output row."""
+        """``out[row] +=`` the stable-order pairwise ``np.add.reduceat``
+        of each row's contributions."""
         if not len(self.starts):
             return
         stream = contrib if self.order is None else contrib[self.order]
@@ -129,7 +115,7 @@ def cached_plan(tensor, key: tuple, builder):
     """``tensor._plan_cache[key]``, building (and timing) on first use.
 
     Objects without the ``_plan_cache`` slot get a throwaway dict, so the
-    plan path still runs on them, just without cross-call reuse.
+    kernels still run on them, just without cross-call reuse.
     """
     cache = getattr(tensor, "_plan_cache", {})
     plan = cache.get(key)
@@ -146,3 +132,11 @@ def scatter_plan(tensor, rows: np.ndarray, tag) -> ScatterPlan:
     names (the Mttkrp product mode)."""
     return cached_plan(tensor, ("scatter", tag), lambda: ScatterPlan(rows))
 
+
+
+def owner_plan(tensor, rows: np.ndarray, n_out: int, tag, nparts: int) -> OwnerPartition:
+    """The tensor's cached :class:`OwnerPartition` of the row stream
+    ``tag`` names among ``nparts`` owners."""
+    return cached_plan(
+        tensor, ("owner", tag, nparts), lambda: owner_partition(rows, n_out, nparts)
+    )

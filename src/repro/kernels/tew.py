@@ -23,7 +23,6 @@ import numpy as np
 from repro.errors import PatternMismatchError
 from repro.types import OpKind
 from repro.kernels.contract import Access, declares_output
-from repro.kernels.plans import uses_plans
 from repro.parallel.backend import Backend, get_backend
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.hicoo import HiCOOTensor
@@ -47,9 +46,9 @@ def elementwise_values(
     """The timed value-computation loop, chunked over the backend.
 
     Shared verbatim by COO and HiCOO (paper: "the value computation of
-    HiCOO-Tew-OMP ... is the same with COO-Tew-OMP").  Plain sequential
-    execution runs one whole-array ufunc call instead; chunking a ufunc
-    never changes its results.
+    HiCOO-Tew-OMP ... is the same with COO-Tew-OMP").  The sequential
+    backend runs it as one whole-array ufunc call; chunking a ufunc never
+    changes its results.
     """
     ufunc = _UFUNC[op]
 
@@ -58,10 +57,7 @@ def elementwise_values(
 
     # Chunks write disjoint slices of the value array by construction.
     with backend.check_output(out, Access.DISJOINT):
-        if uses_plans(backend):
-            ufunc(xv, yv, out=out)
-        else:
-            backend.parallel_for(len(out), body)
+        backend.parallel_for(len(out), body)
 
 
 @declares_output(Access.DISJOINT)

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.types import OpKind
 from repro.kernels.contract import Access, declares_output
-from repro.kernels.plans import uses_plans
 from repro.parallel.backend import Backend, get_backend
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.hicoo import HiCOOTensor
@@ -38,7 +37,7 @@ def scalar_values(
     backend: Backend,
 ) -> None:
     """The timed value loop: ``out = xv op s`` in backend-sized chunks
-    (one whole-array ufunc call under plain sequential execution)."""
+    (one whole-array ufunc call on the sequential backend)."""
     ufunc = _SCALAR_UFUNC[op]
 
     def body(lo: int, hi: int) -> None:
@@ -46,10 +45,7 @@ def scalar_values(
 
     # Chunks write disjoint slices of the value array by construction.
     with backend.check_output(out, Access.DISJOINT):
-        if uses_plans(backend):
-            ufunc(xv, s, out=out)
-        else:
-            backend.parallel_for(len(out), body)
+        backend.parallel_for(len(out), body)
 
 
 @declares_output(Access.DISJOINT)

@@ -19,7 +19,6 @@ from repro.types import Schedule
 from repro.obs.registry import get_metrics
 from repro.obs.tracer import CAT_KERNEL, current_tracer
 from repro.kernels.contract import Access, declares_output
-from repro.kernels.plans import uses_plans
 from repro.parallel.backend import Backend, get_backend
 from repro.parallel.partition import balanced_partition
 from repro.sptensor.coo import COOTensor
@@ -71,10 +70,9 @@ def fiber_reduce(
     *count*; ``partition="balanced"`` instead pre-cuts one contiguous fiber
     range per thread with near-equal *non-zero* totals (the owner-computes
     analogue for fiber-parallel kernels — the mitigation for the skew the
-    paper's Observation 4 calls out).  Plain sequential execution reduces
-    every fiber in one whole-array ``reduceat`` instead (see
-    :mod:`repro.kernels.plans`); a fiber's sum depends only on its own
-    entries, so both lowerings agree bit for bit.
+    paper's Observation 4 calls out).  The sequential backend runs one
+    chunk, a whole-array ``reduceat``; a fiber's sum depends only on its
+    own entries, so every backend agrees bit for bit.
 
     ``kernel``/``fmt`` label the trace span the loop records when a
     tracer is installed (Ttv and Ttm share this timed loop).
@@ -109,12 +107,7 @@ def fiber_reduce(
         backend=backend.name, nfibers=nf, nnz=nnz,
     ):
         with backend.check_output(out, Access.DISJOINT):
-            if uses_plans(backend):
-                if nf > 0:
-                    out[...] = np.add.reduceat(
-                        contrib, fptr[:-1].astype(np.int64), axis=0
-                    )
-            elif partition == "balanced":
+            if partition == "balanced":
                 ranges = balanced_partition(np.diff(fptr), backend.nthreads)
                 backend.map_ranges(ranges, body)
             else:

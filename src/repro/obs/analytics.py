@@ -16,8 +16,7 @@ backends record:
   wall clock spent outside any parallel region (serial pre/post
   processing): a lower bound on the traced interval at infinite width.
 
-Counts (non-zeros processed, flops, workspace checkouts, modeled GPU
-launches) are not part of the trace: they live in the metrics registry
+Counts (non-zeros processed, flops, plan builds, modeled GPU launches) are not part of the trace: they live in the metrics registry
 (:func:`repro.obs.registry.get_metrics`).
 """
 

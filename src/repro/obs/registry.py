@@ -12,15 +12,15 @@ and can be scraped or dumped while a sweep is still running:
   write (:func:`repro.parallel.slots.current_slot`), falling back to the
   OS thread, so concurrent increments from the chunks of one backend
   never contend on one cell; readers sum cells on export.  Slots are
-  unique only within one backend, so code that runs inside chunk bodies
-  (the workspace pool) tallies locally and writes from the caller thread.
+  unique only within one backend, so kernels write the registry from the
+  caller thread only, never from a chunk body (see :meth:`MetricsRegistry.inc`).
   A gauge is a level, so it keeps one value per label set and the last
   write wins.
 * exporters — :meth:`MetricsRegistry.render_prometheus` (text
   exposition format) and :meth:`MetricsRegistry.as_dict` (JSON), both
   deterministic (sorted names and label sets) so goldens can pin them.
 * a process-global default (:func:`get_metrics` / :func:`set_metrics`)
-  written unconditionally by the kernels, the workspace pool, the GPU
+  written unconditionally by the kernels, the plan cache, the GPU
   cost model, the executor, ingestion and the serve daemon, and dumped
   by the ``repro metrics`` CLI.
 """
@@ -138,7 +138,15 @@ class MetricsRegistry:
 
     # -- writes (hot path: no lock once the series exists) -------------- #
     def inc(self, name: str, value: float = 1.0, **labels) -> None:
-        """Add ``value`` to the counter ``name`` for this label set."""
+        """Add ``value`` to the counter ``name`` for this label set.
+
+        Call it from the thread that issued a kernel, not from a backend
+        chunk body.  A chunk's write lands in the cell of its worker
+        slot, and slots are unique only within one backend: two backends
+        driven from two threads both lease slot 0, and their unlocked
+        read-modify-writes on that shared cell can lose increments.  Kernels
+        therefore count their work before or after their parallel region.
+        """
         cells = self._cells(self._metric(name, COUNTER), labels)
         key = _cell_key()
         cells[key] = cells.get(key, 0.0) + float(value)

@@ -1,23 +1,12 @@
-"""CPU parallel substrate: backends, partitioners, atomics, workspaces,
+"""CPU parallel substrate: backends, partitioners, output-row ownership,
 and the concurrency-correctness harness (race-check + chaos backends)."""
 
-from repro.parallel.atomic import (
-    ContentionStats,
-    atomic_add_rows,
-    contention_stats,
-    sorted_reduce_rows,
-)
 from repro.parallel.backend import Backend, get_backend, register_backend
 from repro.parallel.chaos import ChaosBackend, ChaosError
 from repro.parallel.openmp import OpenMPBackend
 from repro.parallel.racecheck import RaceCheckBackend, RaceViolation, RegionReport
 from repro.parallel.slots import SlotPool, bound_slot, current_slot
-from repro.parallel.ownership import (
-    OwnerPartition,
-    owner_partition,
-    owner_scatter_add,
-)
-from repro.parallel.workspace import WorkspacePool
+from repro.parallel.ownership import OwnerPartition, owner_partition
 from repro.parallel.partition import (
     balanced_partition,
     chunk_ranges,
@@ -56,12 +45,6 @@ __all__ = [
     "balanced_partition",
     "load_imbalance",
     "makespan",
-    "atomic_add_rows",
-    "sorted_reduce_rows",
-    "contention_stats",
-    "ContentionStats",
-    "WorkspacePool",
     "OwnerPartition",
     "owner_partition",
-    "owner_scatter_add",
 ]

@@ -3,74 +3,46 @@
 The paper's CPU kernels are OpenMP ``parallel for`` loops over non-zeros,
 fibers, or blocks, with static/dynamic scheduling.  We reproduce that
 structure: a :class:`Backend` provides ``parallel_for(total, body)`` where
-``body(lo, hi)`` processes a contiguous range.  Kernels vectorize each
-range with NumPy, so a multi-threaded backend gets genuine parallelism
-(NumPy releases the GIL inside ufuncs) while the sequential backend runs
-the identical decomposition in one thread — results are bit-identical by
-construction for race-free kernels.
+``body(lo, hi)`` processes a contiguous range, and ``map_ranges(ranges,
+body)`` for kernels that cut their own ranges (output-row owners, fiber
+partitions).  Kernels vectorize each range with NumPy, so a multi-threaded
+backend gets genuine parallelism (NumPy releases the GIL inside ufuncs)
+while the sequential backend runs one whole-range chunk in the calling
+thread — results are bit-identical because no kernel's arithmetic depends
+on where its chunks are cut.
 """
 
 from __future__ import annotations
 
 import abc
 import contextlib
-import threading
 from typing import Callable
-
-import numpy as np
 
 from repro.types import Schedule
 from repro.obs.tracer import CAT_CHUNK, CAT_REGION, current_tracer
-from repro.parallel.workspace import WorkspacePool
 
 #: A loop body processing the half-open index range [lo, hi).
 RangeBody = Callable[[int, int], None]
 
 _REGISTRY: dict[str, "Backend"] = {}
 
-#: Guards the lazy creation of per-backend workspace caches.
-_WS_INIT_LOCK = threading.Lock()
-
 
 class Backend(abc.ABC):
     """Strategy object executing chunked parallel-for loops."""
 
-    #: Logical worker count (1 for sequential).
+    #: Logical worker count (1 for sequential); kernels cut their
+    #: output-row ownership into this many ranges.
     nthreads: int = 1
 
-    #: Whether kernels must run their chunked loops under this backend
-    #: even when it is not threaded.  Correctness backends (race-check,
-    #: chaos) set it: they replay, perturb or fail individual chunks,
-    #: which the whole-array plan path (:mod:`repro.kernels.plans`) never
-    #: goes through.
-    chunked_only: bool = False
-
-    #: Pool class used by :meth:`workspace`; an extension point so the
-    #: correctness harness can substitute instrumented pools.
-    workspace_cls = WorkspacePool
-
-    @property
-    def is_threaded(self) -> bool:
-        """Whether kernels should use their multi-worker update strategy
-        (privatized arenas etc.) under this backend.
-
-        The race-check backend overrides this to ``True`` even though it
-        executes chunks sequentially, so it replays — and checks — the
-        decomposition the threaded kernels actually run.
-        """
-        return self.nthreads > 1
-
     @contextlib.contextmanager
-    def check_output(self, out, access="atomic"):
+    def check_output(self, out, access):
         """Declare ``out`` as the shared output of the enclosed parallel
         region, written under the given access contract.
 
         ``access`` is an output-access contract kind (see
-        :mod:`repro.kernels.contract`): ``"atomic"`` (overlapping writes
-        mediated by a commutative reduction), ``"owner"`` (chunks own
-        disjoint output ranges), ``"workspace"`` (chunks write only
-        thread-private arenas, never ``out``), or ``"disjoint"`` (chunks
-        write disjoint elements by construction).
+        :mod:`repro.kernels.contract`): ``"owner"`` (chunks own disjoint
+        output row ranges) or ``"disjoint"`` (chunks write disjoint
+        elements by construction).
 
         A no-op for executing backends — zero overhead on the hot path.
         ``RaceCheckBackend`` overrides it to record per-chunk write
@@ -107,40 +79,6 @@ class Backend(abc.ABC):
             return
         for lo, hi in ranges:
             body(lo, hi)
-
-    @contextlib.contextmanager
-    def workspace(self, shape, dtype):
-        """Check out a zeroed :class:`WorkspacePool` sized to this backend.
-
-        Pools are cached per ``(shape, dtype)`` on the backend, so repeated
-        kernel calls (e.g. the Mttkrps of a CP-ALS sweep) reuse the same
-        thread-local arenas instead of reallocating them; the pool is
-        re-zeroed when checked back in.  Concurrent checkouts of the same
-        geometry get distinct pools, so nested/overlapping kernel calls
-        never alias arenas.
-        """
-        try:
-            cache = self._ws_cache
-            lock = self._ws_lock
-        except AttributeError:
-            # First checkout may race from two threads; guard the lazy
-            # init so both see one cache and one lock.
-            with _WS_INIT_LOCK:
-                if not hasattr(self, "_ws_cache"):
-                    self._ws_cache = {}
-                    self._ws_lock = threading.Lock()
-            cache = self._ws_cache
-            lock = self._ws_lock
-        key = (tuple(int(s) for s in shape), np.dtype(dtype).str)
-        with lock:
-            free = cache.setdefault(key, [])
-            pool = free.pop() if free else self.workspace_cls(shape, dtype, self.nthreads)
-        try:
-            yield pool
-        finally:
-            pool.reset()
-            with lock:
-                cache[key].append(pool)
 
     @property
     def name(self) -> str:

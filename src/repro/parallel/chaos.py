@@ -14,11 +14,8 @@ surface once in a thousand runs:
 * **Worker churn** — a seeded fraction of chunks run on a *fresh*
   ``threading.Thread`` instead of the executor.  Churned threads stay
   parked (alive) until the region ends, which guarantees their OS thread
-  idents are all distinct — exactly the situation that leaked arenas out
-  of an ident-keyed ``WorkspacePool`` after executor recycling, and the
-  regression trap that keeps it fixed (slot-keyed pools are indifferent
-  to churn; ident-keyed pools blow their ``max_arenas`` bound here,
-  deterministically).
+  idents are all distinct, so any state keyed by OS thread instead of by
+  worker slot multiplies here, deterministically.
 * **Injected chunk failures** — a seeded probability (or an explicit
   chunk-index set) raises :class:`ChaosError` instead of running the
   chunk, exercising the error path: remaining chunks are skipped
@@ -70,10 +67,6 @@ class ChaosBackend(Backend):
         error-path tests; combined with ``failure_rate``.
     """
 
-    #: Chaos perturbs and fails chunks, so kernels keep their chunked
-    #: loops here even over a one-thread inner pool.
-    chunked_only = True
-
     def __init__(
         self,
         inner: "OpenMPBackend | None" = None,
@@ -101,12 +94,6 @@ class ChaosBackend(Backend):
         self._park = threading.Event()
         #: Total fresh threads spawned by churn (observability for tests).
         self.churned = 0
-
-    @property
-    def is_threaded(self) -> bool:
-        # Kernels must take their multi-worker paths whenever the inner
-        # pool is threaded *or* churn will move chunks across threads.
-        return self.inner.nthreads > 1 or self.churn > 0
 
     def reseed(self, seed: int) -> None:
         """Restart the deterministic chaos stream."""

@@ -13,8 +13,8 @@ degrades gracefully to interleaved execution with identical results.
 
 Every chunk executes under a leased *worker slot*
 (:class:`~repro.parallel.slots.SlotPool`) — the ``omp_get_thread_num()``
-analogue that privatized state (``WorkspacePool`` arenas) keys itself on,
-so worker identity survives executor recycling and OS thread-ident reuse.
+analogue that chunk spans are tagged with, so worker identity survives
+executor recycling and OS thread-ident reuse.
 
 Error semantics: a failing chunk causes ``parallel_for``/``map_ranges`` to
 raise the failure of the *earliest chunk in chunk order* (not an arbitrary
@@ -71,8 +71,7 @@ class OpenMPBackend(Backend):
         """Tear down the worker pool (tests; otherwise lives with process).
 
         The backend stays usable: the next loop lazily recreates the
-        executor, and slot-keyed workspace pools survive the recycled
-        worker threads.
+        executor, and worker slots survive the recycled worker threads.
         """
         with self._pool_lock:
             pool, self._pool = self._pool, None
@@ -150,9 +149,9 @@ class OpenMPBackend(Backend):
         if len(ranges) == 1 or self.nthreads == 1:
             # Caller-thread execution: bind slot 0 directly instead of
             # leasing, so a direct call concurrent with a saturated
-            # executor cannot exhaust the slot pool.  Distinct kernel
-            # calls check out distinct workspace pools, so sharing slot 0
-            # across concurrent direct callers never aliases arenas.
+            # executor cannot exhaust the slot pool.  Chunk bodies keep no
+            # slot-keyed state, so concurrent direct callers may share
+            # slot 0.
             for lo, hi in ranges:
                 with bound_slot(0):
                     body(lo, hi)

@@ -1,10 +1,9 @@
 """Owner-computes output-row partitioning for scatter-add kernels.
 
-The third way to make a scatter-add race-free, next to atomics and
-sort-reduce: give each thread exclusive ownership of a contiguous slice of
-the *output* rows and hand it exactly the updates that land in its slice.
-No privatization, no atomics, no final reduction — the strategy Liu et
-al.'s unified GPU optimization (arXiv 1705.09905) builds its conflict-free
+Give each thread exclusive ownership of a contiguous slice of the
+*output* rows and hand it exactly the updates that land in its slice: no
+privatization, no atomics, no final reduction — the strategy Liu et al.'s
+unified GPU optimization (arXiv 1705.09905) builds its conflict-free
 Mttkrp around, here as a reusable pre-processing step for the CPU kernels.
 
 :func:`owner_partition` splits ``[0, n_out)`` into at most ``nparts``
@@ -15,17 +14,11 @@ result *bit-identical* to the sequential kernel: all updates to a given
 output row share one owner, so their relative order — and therefore the
 floating-point accumulation order per row — is exactly the sequential
 storage order.
-
-For HiCOO, passing ``align=block_size`` snaps the range boundaries to
-block multiples so a tensor block is never split between owners (a block's
-entries share one block coordinate along the output mode, hence one
-owner); block-parallel kernels can then keep whole blocks per thread.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -43,40 +36,41 @@ class OwnerPartition:
         ``[row_bounds[p], row_bounds[p+1])``.
     order:
         ``(M,)`` permutation of the update stream grouping updates by
-        owner, stable within each owner (sequential storage order).
+        owner, stable within each owner (sequential storage order), or
+        ``None`` when the stream is already grouped by owner (rows sorted
+        along the output mode), so storage order needs no permutation.
     part_ptr:
-        ``(nparts + 1,)`` int64 offsets into ``order``; owner ``p``
-        processes ``order[part_ptr[p]:part_ptr[p+1]]``.
+        ``(nparts + 1,)`` int64 offsets into ``order`` (or into storage
+        order when ``order`` is ``None``); owner ``p`` processes entries
+        ``part_ptr[p]:part_ptr[p+1]``.
     """
 
     row_bounds: np.ndarray
-    order: np.ndarray
+    order: "np.ndarray | None"
     part_ptr: np.ndarray
 
     @property
     def nparts(self) -> int:
         return len(self.part_ptr) - 1
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays this partition owns (plan-cache accounting)."""
+        arrays = [self.row_bounds, self.part_ptr]
+        if self.order is not None:
+            arrays.append(self.order)
+        return sum(a.nbytes for a in arrays)
+
     def entry_ranges(self) -> list[tuple[int, int]]:
-        """Per-owner ``(lo, hi)`` ranges into ``order`` (backend-ready)."""
+        """Per-owner non-empty ``(lo, hi)`` entry ranges (backend-ready)."""
         return [
             (int(self.part_ptr[p]), int(self.part_ptr[p + 1]))
             for p in range(self.nparts)
             if self.part_ptr[p + 1] > self.part_ptr[p]
         ]
 
-    def owned_rows(self) -> Iterator[tuple[int, int]]:
-        """Per-owner ``(row_lo, row_hi)`` output slices."""
-        for p in range(self.nparts):
-            yield int(self.row_bounds[p]), int(self.row_bounds[p + 1])
 
-
-def owner_partition(
-    rows: np.ndarray,
-    n_out: int,
-    nparts: int,
-    align: int = 1,
-) -> OwnerPartition:
+def owner_partition(rows: np.ndarray, n_out: int, nparts: int) -> OwnerPartition:
     """Partition scatter updates targeting ``rows`` among row owners.
 
     Parameters
@@ -87,11 +81,7 @@ def owner_partition(
         Number of output rows.
     nparts:
         Desired owner count (typically the backend's thread count); the
-        result may have fewer parts when the update stream is small or
-        ``align`` collapses boundaries.
-    align:
-        Snap interior range boundaries down to multiples of ``align``
-        (HiCOO block size) so aligned groups are never split.
+        result may have fewer parts, never more than ``n_out``.
     """
     n_out = int(n_out)
     nparts = max(1, int(nparts))
@@ -99,42 +89,22 @@ def owner_partition(
     if m == 0 or n_out <= 0:
         return OwnerPartition(
             row_bounds=np.array([0, n_out], dtype=np.int64),
-            order=np.empty(0, dtype=np.int64),
+            order=None,
             part_ptr=np.array([0, 0], dtype=np.int64),
         )
     rows = np.asarray(rows)
     counts = np.bincount(rows, minlength=n_out).astype(np.float64)
     ranges = balanced_partition(counts, nparts)
     bounds = np.array([lo for lo, _ in ranges] + [n_out], dtype=np.int64)
-    if align > 1:
-        bounds[1:-1] = (bounds[1:-1] // int(align)) * int(align)
-        bounds = np.unique(bounds)
     npar = len(bounds) - 1
     part_of = np.searchsorted(bounds, rows, side="right") - 1
-    order = np.argsort(part_of, kind="stable").astype(np.int64)
+    if bool(np.all(part_of[1:] >= part_of[:-1])):
+        order = None
+        grouped = part_of
+    else:
+        order = np.argsort(part_of, kind="stable").astype(np.int64)
+        grouped = part_of[order]
     part_ptr = np.searchsorted(
-        part_of[order], np.arange(npar + 1), side="left"
+        grouped, np.arange(npar + 1), side="left"
     ).astype(np.int64)
     return OwnerPartition(row_bounds=bounds, order=order, part_ptr=part_ptr)
-
-
-def owner_scatter_add(
-    out: np.ndarray,
-    rows: np.ndarray,
-    contrib: np.ndarray,
-    part: OwnerPartition,
-    backend,
-) -> None:
-    """Scatter ``contrib`` into ``out`` under an owner partition.
-
-    Each owner's updates touch a disjoint row slice of ``out``, so the
-    ranges run concurrently with no privatization and no atomics; the
-    stable bucketing keeps per-row accumulation order sequential.
-    """
-
-    def body(lo: int, hi: int) -> None:
-        sel = part.order[lo:hi]
-        np.add.at(out, rows[sel], contrib[sel])
-
-    with backend.check_output(out, "owner"):
-        backend.map_ranges(part.entry_ranges(), body)

@@ -1,8 +1,9 @@
 """Race-check backend: a write-footprint sanitizer for parallel kernels.
 
-The suite's three scatter-update strategies (arena-privatized, owner-
-computes, sort-reduce) are *race-free by construction* — but nothing in the
-executing backends can verify the construction.  :class:`RaceCheckBackend`
+The suite's parallel kernels are *race-free by construction* — Mttkrp
+threads own disjoint output rows, fiber and element loops write disjoint
+outputs — but nothing in the executing backends can verify the
+construction.  :class:`RaceCheckBackend`
 does: it replays the exact chunk decomposition the OpenMP backend would run
 (same planner, same schedules, same chunk floors), executes the chunks one
 at a time, and diffs every declared output array around each chunk to
@@ -14,16 +15,6 @@ against the kernel's declared output-access contract
     No two chunks may write the same output element.  Any write-write
     overlap between different chunks is a race the declared decomposition
     promised away — :class:`RaceViolation`.
-``workspace``
-    Chunks must not touch the shared output at all: every write belongs in
-    a thread-private :class:`~repro.parallel.workspace.WorkspacePool`
-    arena, and the output changes only in the post-loop reduction.  Any
-    chunk-time write to the output is a violation.
-``atomic``
-    Overlapping writes are permitted — the contract declares them mediated
-    by a commutative reduction (``np.add.at`` standing in for
-    ``omp atomic``).  The checker records overlap statistics but does not
-    flag.
 
 Because chunks execute sequentially on one thread, the checker is
 deterministic: a decomposition either is disjoint or it is not, no
@@ -32,8 +23,7 @@ a chunk that writes a value *bit-identical* to what was already stored is
 invisible — which cannot create false positives, only (measure-zero, for
 random data) false negatives.
 
-Validated disciplines follow the dense-workspace formulation of Kjolstad
-et al. (arXiv 1802.10574) and the per-mode parallel decompositions of
+Validated disciplines follow the per-mode parallel decompositions of
 PASTA (arXiv 1902.03317).
 """
 
@@ -53,7 +43,7 @@ from repro.parallel.slots import bound_slot
 #: Access kinds the checker understands (mirrors
 #: :class:`repro.kernels.contract.Access`; strings to avoid an import
 #: cycle with the kernels package).
-ACCESS_KINDS = ("atomic", "owner", "workspace", "disjoint")
+ACCESS_KINDS = ("owner", "disjoint")
 
 
 class RaceViolation(RuntimeError):
@@ -110,36 +100,18 @@ class _Watch:
             return
         rep = self.report
         rep.writes += int(written.size)
-        if self.access == "workspace":
-            # Any chunk-time write to the shared output breaks
-            # privatization; owner_of doubles as the witness store.
-            rep.conflicts.append((-1, chunk_index, written[:8]))
-            rep.overlaps += int(written.size)
-            return
         prev = self.owner_of[written]
         clash = prev >= 0
         if clash.any():
             rep.overlaps += int(clash.sum())
-            if self.access in ("owner", "disjoint"):
-                first = int(prev[clash][0])
-                rep.conflicts.append(
-                    (first, chunk_index, written[clash][:8])
-                )
+            first = int(prev[clash][0])
+            rep.conflicts.append((first, chunk_index, written[clash][:8]))
         self.owner_of[written] = chunk_index
 
     def violation_message(self) -> "str | None":
         rep = self.report
         if not rep.conflicts:
             return None
-        if self.access == "workspace":
-            _, chunk, idx = rep.conflicts[0]
-            coords = _coords(idx, rep.shape)
-            return (
-                f"workspace contract violated: chunk {chunk} wrote the "
-                f"shared output {rep.shape} directly at {coords} "
-                f"({rep.overlaps} element(s) total); privatized loops must "
-                "write only their WorkspacePool arena"
-            )
         a, b, idx = rep.conflicts[0]
         coords = _coords(idx, rep.shape)
         return (
@@ -169,9 +141,9 @@ class RaceCheckBackend(Backend):
 
     Drop-in for any ``backend=`` kernel argument: results are exact (the
     real chunk bodies run, in chunk order, on the calling thread), and
-    ``is_threaded`` reports ``True`` so kernels take the same multi-worker
-    code paths — privatized arenas, owner partitions — they would take
-    under :class:`~repro.parallel.openmp.OpenMPBackend` with ``nthreads``
+    kernels cut the same ranges — ``nthreads`` output-row owners, the
+    same scheduled chunks — they would under
+    :class:`~repro.parallel.openmp.OpenMPBackend` with ``nthreads``
     workers.
 
     Parameters
@@ -189,10 +161,6 @@ class RaceCheckBackend(Backend):
     a :class:`RegionReport` is appended to :attr:`history`.
     """
 
-    #: The plan path bypasses chunked decompositions, so it would erase
-    #: exactly the footprints this backend exists to check.
-    chunked_only = True
-
     def __init__(
         self,
         nthreads: int = 4,
@@ -205,15 +173,11 @@ class RaceCheckBackend(Backend):
         self._watches: list[tuple[np.ndarray, str]] = []
         self.history: list[RegionReport] = []
 
-    @property
-    def is_threaded(self) -> bool:
-        return True
-
     def clear_history(self) -> None:
         self.history.clear()
 
     @contextlib.contextmanager
-    def check_output(self, out, access="atomic"):
+    def check_output(self, out, access):
         decl = (np.asarray(out), _coerce_access(access))
         self._watches.append(decl)
         try:
@@ -270,7 +234,7 @@ class RaceCheckBackend(Backend):
     def _run_checked(self, ranges: list[tuple[int, int]], body: RangeBody) -> None:
         if not self._watches:
             # Nothing declared: plain sequential execution (still under a
-            # worker slot so arena keying matches the executing backends).
+            # worker slot so spans are tagged like the executing backends').
             for lo, hi in ranges:
                 with bound_slot(0):
                     body(lo, hi)

@@ -1,8 +1,8 @@
 """Single-threaded backend — the reference executor.
 
-Runs the same chunk decomposition as the OpenMP-like backend but in the
-calling thread, so kernels behave identically whether or not threads are
-available (important on single-core CI machines).
+Runs every loop in the calling thread, as one whole-range chunk by
+default, so a kernel's one lowering runs unchanged whether or not threads
+are available (important on single-core CI machines).
 """
 
 from __future__ import annotations

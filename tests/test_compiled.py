@@ -1,18 +1,14 @@
-"""Equivalence of the two kernel lowerings, and the scatter-plan cache.
+"""One lowering per kernel cell: every backend returns the sequential bits.
 
-Every kernel cell has two lowerings and the backend picks one (see
-``repro.kernels.plans``): plain sequential execution runs the plan path,
-while threaded and chunk-checking backends run the chunked loops.
-The contract is *bit-identity*: both lowerings run the same
-floating-point schedule (``atomic``/``owner`` -> linear per-row
-accumulation, ``sort``/fibers -> pairwise ``reduceat``, elementwise ->
-one rounding per element), so the matrix below asserts ``array_equal``,
-never ``allclose``.
-
-The chunked reference is a ``ChaosBackend`` over a one-thread pool with
-no shuffling, churn or faults: it is not threaded, but it always runs the
-chunked loops, in chunk order.  ``owner`` is also checked under a real
-multi-thread OpenMP backend, where it stays bit-identical.
+Each kernel cell has a single lowering that runs on every backend (see
+``repro.kernels.plans``).  Mttkrp ``atomic``/``owner`` split the output
+rows into one range per thread and scatter each range's entries in
+storage order; ``sort`` reduces plan-cached row segments; Ttv/Ttm reduce
+fibers and Tew/Ts apply one ufunc per element.  No result depends on how
+the work is cut, so the matrix below asserts ``array_equal`` against
+``SequentialBackend``, never ``allclose``, under real threads (2, 3 and 4),
+the strict race checker, and chaos scheduling (shuffle + churn) over
+one-thread and four-thread pools.
 """
 
 from __future__ import annotations
@@ -20,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bench.runner import RunnerConfig, TensorBundle
 from repro.kernels import (
     coo_mttkrp,
     coo_tew,
@@ -35,7 +32,7 @@ from repro.kernels import (
     hicoo_ttv,
 )
 from repro.kernels import plans
-from repro.kernels.plans import cached_plan, scatter_plan, uses_plans
+from repro.kernels.plans import cached_plan, owner_plan, scatter_plan
 from repro.obs.registry import get_metrics
 from repro.parallel import (
     ChaosBackend,
@@ -48,6 +45,25 @@ from tests.conftest import random_mats
 
 RANK = 5
 OPS = ("add", "sub", "mul", "div")
+METHODS = ("atomic", "sort", "owner")
+SEQ = SequentialBackend()
+
+
+@pytest.fixture(scope="module")
+def backends():
+    """Every backend whose results must equal the sequential ones."""
+    bes = [
+        OpenMPBackend(nthreads=2, default_chunk=64),
+        OpenMPBackend(nthreads=3, default_chunk=64),
+        OpenMPBackend(nthreads=4, default_chunk=64),
+        RaceCheckBackend(nthreads=4, default_chunk=64, strict=True),
+        ChaosBackend(OpenMPBackend(nthreads=1, default_chunk=64), seed=1, churn=0.5),
+        ChaosBackend(OpenMPBackend(nthreads=4, default_chunk=64), seed=2, churn=0.5),
+    ]
+    yield bes
+    for be in bes:
+        if hasattr(be, "shutdown"):
+            be.shutdown()
 
 
 @pytest.fixture
@@ -57,148 +73,147 @@ def omp():
     be.shutdown()
 
 
-@pytest.fixture
-def chunked():
-    """Sequential chunked loops: chaos over one thread, no perturbation."""
-    be = ChaosBackend(OpenMPBackend(nthreads=1), shuffle=False)
-    assert not be.is_threaded and not uses_plans(be)
-    yield be
-    be.shutdown()
-
-
-def _tensor(dtype):
-    return COOTensor.random((40, 30, 20), nnz=900, rng=7).astype(dtype).sort()
+def _tensor(dtype, sort=True):
+    x = COOTensor.random((40, 30, 20), nnz=900, rng=7).astype(dtype)
+    return x.sort() if sort else x
 
 
 def _hicoo(x):
     return HiCOOTensor.from_coo(x, block_size=8)
 
 
+def _assert_all_equal(run, backends, label):
+    want = run(SEQ)
+    for be in backends:
+        assert np.array_equal(run(be), want), (label, be.name, be.nthreads)
+
+
 # ------------------------------------------------------------------ #
-# Equivalence matrix: plan path vs chunked loops
+# Mttkrp: every method x format x dtype x mode, sorted and unsorted
 # ------------------------------------------------------------------ #
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 class TestMttkrpEquivalence:
     @pytest.mark.parametrize("fmt", ["coo", "hicoo"])
-    @pytest.mark.parametrize("method", ["atomic", "sort", "owner"])
-    def test_matrix(self, fmt, method, dtype, chunked, omp):
-        x = _tensor(dtype)
-        mats = random_mats(x.shape, RANK, seed=3, dtype=dtype)
-        fn = coo_mttkrp
-        if fmt == "hicoo":
-            x, fn = _hicoo(x), hicoo_mttkrp
-        for mode in range(x.nmodes):
-            got = fn(x, mats, mode, "sequential", method=method)
-            want = fn(x, mats, mode, chunked, method=method)
-            assert np.array_equal(got, want), mode
-            if method == "owner":
-                par = fn(x, mats, mode, omp, method="owner")
-                assert np.array_equal(par, got), mode
+    @pytest.mark.parametrize("method", METHODS)
+    def test_matrix(self, fmt, method, dtype, backends):
+        for sort in (True, False):
+            x = _tensor(dtype, sort)
+            mats = random_mats(x.shape, RANK, seed=3, dtype=dtype)
+            fn = coo_mttkrp
+            if fmt == "hicoo":
+                x, fn = _hicoo(x), hicoo_mttkrp
+            for mode in range(x.nmodes):
+                _assert_all_equal(
+                    lambda be: fn(x, mats, mode, be, method=method),
+                    backends, (sort, mode),
+                )
 
     @pytest.mark.parametrize("mode", [0, 1, 2])
-    def test_unsorted_modes_coo(self, mode, dtype, chunked):
+    def test_unsorted_modes_coo(self, mode, dtype, backends):
         # An unsorted tensor scatters an unsorted row stream in every
-        # mode: exercises the stable-argsort plan.
-        x = COOTensor.random((40, 30, 20), nnz=900, rng=7).astype(dtype)
+        # mode: owners need a stable permutation, sort a stable argsort.
+        x = _tensor(dtype, sort=False)
         mats = random_mats(x.shape, RANK, seed=4, dtype=dtype)
-        for method in ("atomic", "sort", "owner"):
-            got = coo_mttkrp(x, mats, mode, "sequential", method=method)
-            want = coo_mttkrp(x, mats, mode, chunked, method=method)
-            assert np.array_equal(got, want), method
+        for method in METHODS:
+            _assert_all_equal(
+                lambda be: coo_mttkrp(x, mats, mode, be, method=method),
+                backends, method,
+            )
+
+    def test_fewer_rows_than_threads(self, dtype, backends):
+        # Mode 1 has 3 output rows and up to 4 threads: some threads own
+        # no row, and HiCOO blocks span every owner.
+        x = COOTensor.random((30, 3, 25), nnz=400, rng=9).astype(dtype).sort()
+        mats = random_mats(x.shape, RANK, seed=5, dtype=dtype)
+        for t, fn in ((x, coo_mttkrp), (_hicoo(x), hicoo_mttkrp)):
+            for method in METHODS:
+                _assert_all_equal(
+                    lambda be: fn(t, mats, 1, be, method=method),
+                    backends, (fn.__name__, method),
+                )
+
+    def test_empty_tensor(self, dtype, backends):
+        x = COOTensor.empty((4, 5, 6)).astype(dtype)
+        mats = random_mats(x.shape, RANK, seed=6, dtype=dtype)
+        for t, fn in ((x, coo_mttkrp), (_hicoo(x), hicoo_mttkrp)):
+            for method in METHODS:
+                for mode in range(3):
+                    _assert_all_equal(
+                        lambda be: fn(t, mats, mode, be, method=method),
+                        backends, (fn.__name__, method, mode),
+                    )
 
 
+# ------------------------------------------------------------------ #
+# Ttv, Ttm, Tew and Ts on the same backends
+# ------------------------------------------------------------------ #
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 class TestFiberAndValueEquivalence:
-    def test_ttv(self, dtype, chunked):
+    def test_ttv(self, dtype, backends):
         x = _tensor(dtype)
         h = _hicoo(x)
         rng = np.random.default_rng(5)
         for mode in range(x.nmodes):
             vec = rng.random(x.shape[mode]).astype(dtype)
             for fn, t in ((coo_ttv, x), (hicoo_ttv, h)):
-                got = fn(t, vec, mode, "sequential")
-                want = fn(t, vec, mode, chunked)
-                assert np.array_equal(got.values, want.values), (fn, mode)
+                for schedule in ("static", "dynamic"):
+                    _assert_all_equal(
+                        lambda be: fn(t, vec, mode, be, schedule=schedule).values,
+                        backends, (fn.__name__, mode, schedule),
+                    )
 
-    def test_ttm(self, dtype, chunked):
+    def test_ttm(self, dtype, backends):
         x = _tensor(dtype)
         h = _hicoo(x)
         rng = np.random.default_rng(6)
         for mode in range(x.nmodes):
             u = rng.random((x.shape[mode], RANK)).astype(dtype)
             for fn, t in ((coo_ttm, x), (hicoo_ttm, h)):
-                got = fn(t, u, mode, "sequential")
-                want = fn(t, u, mode, chunked)
-                assert np.array_equal(got.values, want.values), (fn, mode)
+                for partition in ("uniform", "balanced"):
+                    _assert_all_equal(
+                        lambda be: fn(t, u, mode, be, partition=partition).values,
+                        backends, (fn.__name__, mode, partition),
+                    )
 
-    def test_tew(self, dtype, chunked):
+    def test_tew(self, dtype, backends):
         x = _tensor(dtype)
         y = COOTensor.random(x.shape, nnz=700, rng=8).astype(dtype).sort()
         h = _hicoo(x)
         for op in OPS:
             for fn, t in ((coo_tew, x), (hicoo_tew, h)):
-                got = fn(t, t, op, "sequential", assume_same_pattern=True)
-                want = fn(t, t, op, chunked, assume_same_pattern=True)
-                assert np.array_equal(got.values, want.values), (fn, op)
+                _assert_all_equal(
+                    lambda be: fn(t, t, op, be, assume_same_pattern=True).values,
+                    backends, (fn.__name__, op),
+                )
             # Differing patterns: the union/intersection merge path.
-            got = coo_tew(x, y, op, "sequential")
-            want = coo_tew(x, y, op, chunked)
-            assert np.array_equal(got.values, want.values), op
+            _assert_all_equal(
+                lambda be: coo_tew(x, y, op, be).values, backends, op
+            )
 
-    def test_ts(self, dtype, chunked):
+    def test_ts(self, dtype, backends):
         x = _tensor(dtype)
         h = _hicoo(x)
         for op in OPS:
             for fn, t in ((coo_ts, x), (hicoo_ts, h)):
-                got = fn(t, 1.5, op, "sequential")
-                want = fn(t, 1.5, op, chunked)
-                assert np.array_equal(got.values, want.values), (fn, op)
+                _assert_all_equal(
+                    lambda be: fn(t, 1.5, op, be).values,
+                    backends, (fn.__name__, op),
+                )
 
 
 class TestSequentialBitIdentity:
-    def test_compiled_owner_matches_sequential(self, chunked):
+    def test_compiled_owner_matches_sequential(self, omp):
         # The paper-level invariant the bench asserts: owner-computes
         # accumulates linearly in storage order, like the atomic scatter.
         x = _tensor(np.float32)
         mats = random_mats(x.shape, RANK, seed=8, dtype=np.float32)
-        ref = coo_mttkrp(x, mats, 0, chunked)
-        got = coo_mttkrp(x, mats, 0, "sequential", method="owner")
+        ref = coo_mttkrp(x, mats, 0, "sequential")
+        got = coo_mttkrp(x, mats, 0, omp, method="owner")
         assert np.array_equal(got, ref)
 
 
 # ------------------------------------------------------------------ #
-# Which lowering each backend picks
-# ------------------------------------------------------------------ #
-class TestLoweringChoice:
-    def test_plain_sequential_runs_plans(self):
-        one = OpenMPBackend(nthreads=1)
-        try:
-            assert uses_plans(SequentialBackend()) and uses_plans(one)
-        finally:
-            one.shutdown()
-
-    def test_threaded_and_checking_backends_run_chunks(self, omp):
-        rc = RaceCheckBackend(nthreads=2, default_chunk=64)
-        ch = ChaosBackend(OpenMPBackend(nthreads=1))
-        try:
-            for be in (omp, rc, ch):
-                assert not uses_plans(be), be.name
-            assert rc.chunked_only and ch.chunked_only
-        finally:
-            ch.shutdown()
-
-    def test_only_the_plan_path_fills_the_plan_cache(self, omp, chunked):
-        x = _tensor(np.float64)
-        mats = random_mats(x.shape, RANK, seed=10)
-        for be in (omp, chunked):
-            coo_mttkrp(x, mats, 1, be, method="sort")
-        assert x._plan_cache == {}
-        coo_mttkrp(x, mats, 1, "sequential", method="sort")
-        assert len(x._plan_cache) == 1
-
-
-# ------------------------------------------------------------------ #
-# Arguments are checked before the lowering is chosen
+# Arguments are checked before any work runs
 # ------------------------------------------------------------------ #
 def _entry_points():
     x = _tensor(np.float64)
@@ -228,7 +243,7 @@ class TestArgumentValidation:
     def be(self, backend, omp):
         return "sequential" if backend == "sequential" else omp
 
-    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("entry", FIBER_ENTRY_POINTS)
     def test_unknown_schedule_rejected(self, entry, be):
         with pytest.raises(ValueError, match="schedule"):
             ENTRY_POINTS[entry](be, schedule="bogus")
@@ -249,15 +264,16 @@ class TestArgumentValidation:
 # ------------------------------------------------------------------ #
 class TestContractBackends:
     def test_racecheck_passes_under_compiled_request(self):
-        # The race checker always runs the chunked loops, so its replay
-        # contracts run (and pass) on every call.
+        # Each owner range writes only its own rows: the race checker
+        # replays the ranges and records one clean owner region.
         rc = RaceCheckBackend(nthreads=4, default_chunk=64)
         x = _tensor(np.float64)
         mats = random_mats(x.shape, RANK, seed=9)
         got = coo_mttkrp(x, mats, 0, rc, method="atomic")
         want = coo_mttkrp(x, mats, 0, "sequential")
-        np.testing.assert_allclose(got, want, rtol=1e-10)
-        assert rc.history
+        assert np.array_equal(got, want)
+        assert [r.access for r in rc.history] == ["owner"]
+        assert rc.history[0].nchunks == 4 and rc.history[0].conflicts == []
 
     def test_chaos_passes_under_compiled_request(self):
         ch = ChaosBackend(OpenMPBackend(nthreads=4), churn=1.0)
@@ -318,6 +334,8 @@ class TestPlansAndStats:
         x = _tensor(np.float64)
         plan = scatter_plan(x, x.index_column(0), tag=0)  # sorted: mode 0
         assert plan.order is None
+        part = owner_plan(x, x.index_column(0), x.shape[0], 0, 4)
+        assert part.order is None and part.nparts == 4
 
     def test_plan_nbytes_counts_owned_arrays(self):
         x = COOTensor.random((20, 20, 20), nnz=300, rng=13)
@@ -325,7 +343,45 @@ class TestPlansAndStats:
         plan = scatter_plan(x, rows, tag=1)
         assert plan.order is not None
         assert plan.nbytes == plan.order.nbytes + plan.starts.nbytes + plan.urows.nbytes
-        assert x.cache_nbytes == rows.nbytes + plan.nbytes
+        part = owner_plan(x, rows, x.shape[1], 1, 3)
+        assert part.order is not None
+        assert part.nbytes == (
+            part.order.nbytes + part.row_bounds.nbytes + part.part_ptr.nbytes
+        )
+        assert x.cache_nbytes == rows.nbytes + plan.nbytes + part.nbytes
+
+    def test_owner_partitions_cached_per_mode_and_width(self, omp):
+        x = _tensor(np.float64)
+        mats = random_mats(x.shape, RANK, seed=15)
+        coo_mttkrp(x, mats, 1, "sequential")
+        assert x._plan_cache == {}  # one thread owns every row: no partition
+        coo_mttkrp(x, mats, 1, omp)
+        coo_mttkrp(x, mats, 1, omp, method="owner")
+        assert list(x._plan_cache) == [("owner", 1, 4)]
+
+    def test_sort_drops_owner_partitions(self, omp):
+        x = _tensor(np.float64, sort=False)
+        mats = random_mats(x.shape, RANK, seed=16)
+        want = coo_mttkrp(x, mats, 2, omp)
+        assert ("owner", 2, 4) in x._plan_cache
+        x.sort()
+        assert x._plan_cache == {}
+        got = coo_mttkrp(x, mats, 2, omp)
+        assert np.array_equal(got, coo_mttkrp(x, mats, 2, "sequential"))
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_bundle_nbytes_counts_owner_partitions(self):
+        bundle = TensorBundle.prepare("t", _tensor(np.float32), RunnerConfig())
+        mats = bundle.matrices
+        coo_mttkrp(bundle.coo, mats, 1, "sequential")  # caches index columns
+        before = bundle.nbytes
+        be = OpenMPBackend(nthreads=2)
+        try:
+            coo_mttkrp(bundle.coo, mats, 1, be)
+        finally:
+            be.shutdown()
+        (part,) = bundle.coo._plan_cache.values()
+        assert bundle.nbytes == before + part.nbytes > before
 
 
 class TestScatterRows:

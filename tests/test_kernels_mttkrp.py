@@ -115,7 +115,7 @@ class TestMttkrpParallel:
         ref = hicoo_mttkrp(h, mats3, 1)
         be = OpenMPBackend(nthreads=4)
         try:
-            got = hicoo_mttkrp(h, mats3, 1, backend=be, blocks_per_chunk=4)
+            got = hicoo_mttkrp(h, mats3, 1, backend=be)
             np.testing.assert_allclose(got, ref, rtol=1e-10)
         finally:
             be.shutdown()

@@ -174,57 +174,6 @@ class TestConcurrentBuffers:
         assert cells and all(key[0] == "slot" for key in cells)
 
 
-class TestWorkspaceCounters:
-    def test_slot_sharing_direct_callers_count_exactly(self, registry):
-        # Caller-thread execution binds slot 0 on every calling thread, so
-        # concurrent direct callers share a registry cell key.  A per-acquire
-        # registry write would lose increments here; the pool tallies under
-        # its lock and publishes once per reduce/reset instead.
-        import sys
-
-        from repro.parallel import WorkspacePool
-        from repro.parallel.slots import bound_slot
-
-        n = 50_000
-
-        def direct_caller():
-            pool = WorkspacePool((4,), np.float64, max_arenas=1)
-            with bound_slot(0):
-                for _ in range(n):
-                    pool.acquire()
-            pool.reduce_into(np.zeros(4))
-            pool.reset()
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # force thread switches mid-update
-        try:
-            threads = [threading.Thread(target=direct_caller) for _ in range(2)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        finally:
-            sys.setswitchinterval(old)
-        assert registry.counter_value("ws.acquire") == 2 * n
-        assert registry.counter_value("ws.arena_alloc") == 2
-        assert registry.counter_value("ws.arena_alloc_bytes") == 2 * 4 * 8
-        assert registry.counter_value("ws.reduce") == 2
-        assert registry.counter_value("ws.reset") == 2
-
-    def test_tally_published_at_reset_without_reduce(self, registry):
-        from repro.parallel import WorkspacePool
-
-        pool = WorkspacePool((3,), np.float64, max_arenas=2)
-        pool.acquire()
-        pool.acquire()
-        assert registry.counter_value("ws.acquire") == 0.0  # not yet published
-        pool.reset()
-        assert registry.counter_value("ws.acquire") == 2.0
-        assert registry.counter_value("ws.arena_alloc") == 1.0
-        pool.reset()  # nothing new to publish
-        assert registry.counter_value("ws.acquire") == 2.0
-
-
 class TestAnalytics:
     def _hand_built(self):
         # worker-0: two 1s chunks (busy 2.0); worker-1: one 1s chunk.
@@ -366,52 +315,50 @@ class TestKernelIntegration:
             3.0 * x.nnz * 4
         )
 
-    def test_concurrent_backends_count_workspace_exactly(self, registry):
-        # Each calling thread drives its own backend, and every backend
-        # leases worker slots from 0, so chunks of the two backends share
-        # slot numbers.  ws.* counts must not be lost to that: they are
-        # tallied under the pool lock and published from the caller thread.
-        import sys
+    def test_kernels_write_registry_from_caller_thread_only(self, registry):
+        # Slots are unique only within one backend, so no chunk body may
+        # write the registry: every cell must be keyed by the caller's OS
+        # thread, never by a worker slot, on every kernel x format.
+        from repro.kernels import (
+            coo_mttkrp, coo_tew, coo_ts, coo_ttm, coo_ttv,
+            hicoo_mttkrp, hicoo_tew, hicoo_ts, hicoo_ttm, hicoo_ttv,
+        )
+        from repro.parallel import ChaosBackend
+        from repro.sptensor import COOTensor, HiCOOTensor
 
-        from repro.generate import powerlaw_tensor
-        from repro.kernels import coo_mttkrp
-
-        x = powerlaw_tensor((40, 30, 8), nnz=2000, seed=3).sort()
-        rng = np.random.default_rng(1)
-        mats = [rng.random((s, 2)) for s in x.shape]
-
-        def calls(n):
-            backend = OpenMPBackend(nthreads=2, default_chunk=16)
-            try:
-                for _ in range(n):
-                    coo_mttkrp(x, mats, 0, backend, method="atomic",
-                               schedule="dynamic")
-            finally:
-                backend.shutdown()
-
-        calls(1)
-        per_call = registry.counter_value("ws.acquire")
-        assert per_call == 2000 / 16  # one acquire per dynamic chunk
-        registry.clear()
-
-        ncalls, nthreads = 20, 2
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # force thread switches mid-update
+        x = COOTensor.random((30, 20, 10), nnz=600, rng=4).sort()
+        h = HiCOOTensor.from_coo(x, 4)
+        rng = np.random.default_rng(2)
+        mats = [rng.random((s, 3)) for s in x.shape]
+        backends = [
+            OpenMPBackend(nthreads=4, default_chunk=32),
+            ChaosBackend(OpenMPBackend(nthreads=4, default_chunk=32), churn=0.5),
+        ]
         try:
-            threads = [
-                threading.Thread(target=calls, args=(ncalls,))
-                for _ in range(nthreads)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+            for be in backends:
+                for t, mttkrp, ttv, ttm, tew, ts in (
+                    (x, coo_mttkrp, coo_ttv, coo_ttm, coo_tew, coo_ts),
+                    (h, hicoo_mttkrp, hicoo_ttv, hicoo_ttm, hicoo_tew, hicoo_ts),
+                ):
+                    for mode in range(3):
+                        for method in ("atomic", "sort", "owner"):
+                            mttkrp(t, mats, mode, be, method=method)
+                        ttv(t, mats[mode][:, 0], mode, be)
+                        ttm(t, mats[mode], mode, be)
+                    tew(t, t, "add", be, assume_same_pattern=True)
+                    ts(t, 2.0, "mul", be)
         finally:
-            sys.setswitchinterval(old)
-        total = ncalls * nthreads
-        assert registry.counter_value("ws.acquire") == total * per_call
-        assert registry.counter_value("ws.reduce") == total
-        assert registry.counter_value("kernel.nnz_processed") == total * x.nnz
+            for be in backends:
+                be.shutdown()
+        assert registry.counter_value("kernel.nnz_processed") > 0
+        assert registry.counter_totals("plan.")["plan.builds"] > 0
+        keys = [
+            key
+            for metric in registry._metrics.values()
+            for cells in metric.series.values()
+            for key in cells
+        ]
+        assert keys and not any(key[0] == "slot" for key in keys)
 
     def test_disabled_tracer_records_nothing(self):
         from repro.generate import powerlaw_tensor

@@ -10,12 +10,9 @@ from repro.parallel import (
     OpenMPBackend,
     SequentialBackend,
     SlotPool,
-    WorkspacePool,
-    atomic_add_rows,
     balanced_partition,
     bound_slot,
     chunk_ranges,
-    contention_stats,
     current_slot,
     fixed_chunks,
     get_backend,
@@ -23,7 +20,6 @@ from repro.parallel import (
     load_imbalance,
     makespan,
     register_backend,
-    sorted_reduce_rows,
 )
 from repro.types import Schedule
 
@@ -292,63 +288,6 @@ class TestBackendLifecycle:
         finally:
             be.shutdown()
 
-    def test_cached_workspace_survives_executor_recycling(self):
-        # The worker threads after shutdown() are brand new OS threads;
-        # a pool cached across the recycle must stay bounded and correct.
-        be = OpenMPBackend(nthreads=2, default_chunk=16)
-        rng = np.random.default_rng(0)
-        rows = rng.integers(0, 20, size=400)
-        contrib = rng.random((400, 3))
-        ref = np.zeros((20, 3))
-        np.add.at(ref, rows, contrib)
-
-        def run():
-            out = np.zeros((20, 3))
-            with be.workspace(out.shape, out.dtype) as pool:
-                be.parallel_for(
-                    400,
-                    lambda lo, hi: np.add.at(
-                        pool.acquire(), rows[lo:hi], contrib[lo:hi]
-                    ),
-                    schedule="dynamic", chunk=16,
-                )
-                assert pool.narenas <= be.nthreads
-                pool.reduce_into(out)
-            return out
-
-        try:
-            np.testing.assert_allclose(run(), ref, rtol=1e-12)
-            be.shutdown()  # recycle: fresh executor, fresh thread idents
-            np.testing.assert_allclose(run(), ref, rtol=1e-12)
-            be.shutdown()
-            np.testing.assert_allclose(run(), ref, rtol=1e-12)
-            with be.workspace((20, 3), np.float64) as pool:
-                assert pool.narenas <= be.nthreads
-        finally:
-            be.shutdown()
-
-    def test_concurrent_same_geometry_checkouts_distinct(self):
-        be = OpenMPBackend(nthreads=2)
-        barrier = threading.Barrier(2)
-        pools = []
-        lock = threading.Lock()
-
-        def checkout():
-            with be.workspace((6, 2), np.float64) as pool:
-                with lock:
-                    pools.append(pool)
-                barrier.wait(timeout=5)  # both hold their pool at once
-
-        try:
-            threads = [threading.Thread(target=checkout) for _ in range(2)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert len(pools) == 2 and pools[0] is not pools[1]
-        finally:
-            be.shutdown()
-
     def test_ensure_pool_race_creates_one_executor(self, monkeypatch):
         import repro.parallel.openmp as openmp_mod
 
@@ -377,72 +316,6 @@ class TestBackendLifecycle:
             assert len(created) == 1, "racing loops must share one executor"
         finally:
             be.shutdown()
-
-
-class TestWorkspacePoolLifetime:
-    def test_second_reduce_raises(self):
-        pool = WorkspacePool((4,), np.float64, max_arenas=2)
-        pool.acquire()[:] = 2.0
-        out = np.zeros(4)
-        pool.reduce_into(out)
-        np.testing.assert_array_equal(out, 2.0)
-        with pytest.raises(RuntimeError, match="reduce_into.*twice"):
-            pool.reduce_into(out)
-        np.testing.assert_array_equal(out, 2.0)  # no silent double-count
-
-    def test_acquire_after_reduce_raises(self):
-        pool = WorkspacePool((4,), np.float64, max_arenas=2)
-        pool.acquire()
-        pool.reduce_into(np.zeros(4))
-        with pytest.raises(RuntimeError, match="acquire.*after reduce_into"):
-            pool.acquire()
-
-    def test_reset_reenables_the_pool(self):
-        pool = WorkspacePool((3,), np.float64, max_arenas=1)
-        pool.acquire()[:] = 5.0
-        out = np.zeros(3)
-        pool.reduce_into(out)
-        pool.reset()
-        buf = pool.acquire()  # allowed again
-        assert buf.sum() == 0  # and zeroed
-        buf[:] = 1.0
-        pool.reduce_into(out)
-        np.testing.assert_array_equal(out, 6.0)
-
-    def test_dead_thread_arena_adopted_with_contents(self):
-        # A worker that dies mid-loop must not strand its arena (the old
-        # leak) nor lose its partial sums (adoption keeps the buffer).
-        pool = WorkspacePool((2,), np.float64, max_arenas=1)
-
-        def worker():
-            pool.acquire()[:] = 7.0
-
-        t = threading.Thread(target=worker)
-        t.start()
-        t.join()  # thread is dead; its ident-keyed arena is stale
-        buf = pool.acquire()  # at capacity: adopts the departed arena
-        np.testing.assert_array_equal(buf, 7.0)
-        assert pool.narenas == 1
-        out = np.zeros(2)
-        pool.reduce_into(out)
-        np.testing.assert_array_equal(out, 7.0)
-
-    def test_slot_key_shared_across_os_threads(self):
-        # Two different OS threads bound to the same worker slot (in turn)
-        # must get the same arena: slot identity, not thread identity.
-        pool = WorkspacePool((2,), np.float64, max_arenas=4)
-        seen = []
-
-        def worker():
-            with bound_slot(1):
-                seen.append(id(pool.acquire()))
-
-        for _ in range(3):
-            t = threading.Thread(target=worker)
-            t.start()
-            t.join()
-        assert len(set(seen)) == 1
-        assert pool.narenas == 1
 
 
 class TestSlotPool:
@@ -513,40 +386,3 @@ class TestBackendRegistry:
         be = SequentialBackend(chunks_hint=2)
         register_backend("custom-test", be)
         assert get_backend("custom-test") is be
-
-
-class TestAtomics:
-    def test_atomic_add_handles_duplicates(self):
-        out = np.zeros((3, 2))
-        rows = np.array([0, 1, 0, 0])
-        contrib = np.ones((4, 2))
-        atomic_add_rows(out, rows, contrib)
-        np.testing.assert_allclose(out[0], [3, 3])
-        np.testing.assert_allclose(out[1], [1, 1])
-
-    def test_sorted_reduce_matches_atomic(self):
-        rng = np.random.default_rng(4)
-        rows = rng.integers(0, 50, size=1000)
-        contrib = rng.random((1000, 4))
-        a = np.zeros((50, 4))
-        b = np.zeros((50, 4))
-        atomic_add_rows(a, rows, contrib)
-        sorted_reduce_rows(b, rows, contrib)
-        np.testing.assert_allclose(a, b, rtol=1e-12)
-
-    def test_sorted_reduce_empty(self):
-        out = np.zeros((3, 2))
-        sorted_reduce_rows(out, np.array([], dtype=int), np.zeros((0, 2)))
-        assert out.sum() == 0
-
-    def test_contention_stats(self):
-        stats = contention_stats(np.array([0, 0, 0, 1, 2]))
-        assert stats.n_updates == 5
-        assert stats.n_targets == 3
-        assert stats.max_per_target == 3
-        assert stats.conflict_factor == pytest.approx(5 / 3)
-
-    def test_contention_empty(self):
-        stats = contention_stats(np.array([], dtype=int))
-        assert stats.n_updates == 0
-        assert stats.conflict_factor == 0.0

@@ -1,10 +1,10 @@
 """Backend/schedule/method equivalence for the scatter-add kernels.
 
-Every combination of backend (sequential, OpenMP), schedule (static,
-dynamic, guided), update method (atomic, sort, owner) and privatization
-(arena, chunk) must produce the same Mttkrp/Ttv/Ttm results — including
-the empty-tensor and single-block edge cases — and the owner-computes
-method must be *bit-identical* to the sequential kernel.
+Every combination of backend (sequential, OpenMP, race-check), update
+method (atomic, sort, owner) and Ttv/Ttm schedule (static, dynamic,
+guided) must produce the same Mttkrp/Ttv/Ttm results — including the
+empty-tensor and single-block edge cases — and every Mttkrp method must
+be *bit-identical* to the sequential kernel.
 """
 
 import numpy as np
@@ -22,10 +22,7 @@ from repro.parallel import (
     ChaosBackend,
     OpenMPBackend,
     RaceCheckBackend,
-    WorkspacePool,
     owner_partition,
-    owner_scatter_add,
-    get_backend,
 )
 from repro.sptensor import COOTensor, HiCOOTensor
 
@@ -79,13 +76,17 @@ class TestMttkrpEquivalence:
     def test_coo_all_combinations(
         self, tensor, mats, omp4, racecheck, method, schedule, mode
     ):
-        ref = coo_mttkrp(tensor, mats, mode)
+        # Mttkrp threads own output-row ranges; the schedule applies to
+        # the same mode's Ttv, which keeps its scheduled fiber chunks.
+        ref = coo_mttkrp(tensor, mats, mode, method=method)
+        ref_v = coo_ttv(tensor, mats[mode][:, 0], mode)
         for backend in (None, omp4, racecheck):
-            got = coo_mttkrp(
-                tensor, mats, mode, backend=backend,
-                method=method, schedule=schedule,
+            got = coo_mttkrp(tensor, mats, mode, backend=backend, method=method)
+            assert np.array_equal(got, ref)
+            got_v = coo_ttv(
+                tensor, mats[mode][:, 0], mode, backend=backend, schedule=schedule
             )
-            np.testing.assert_allclose(got, ref, rtol=1e-12)
+            assert np.array_equal(got_v.values, ref_v.values)
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("schedule", SCHEDULES)
@@ -93,26 +94,15 @@ class TestMttkrpEquivalence:
     def test_hicoo_all_combinations(
         self, hicoo, mats, omp4, racecheck, method, schedule, mode
     ):
-        ref = hicoo_mttkrp(hicoo, mats, mode)
+        ref = hicoo_mttkrp(hicoo, mats, mode, method=method)
+        ref_v = hicoo_ttv(hicoo, mats[mode][:, 0], mode)
         for backend in (None, omp4, racecheck):
-            got = hicoo_mttkrp(
-                hicoo, mats, mode, backend=backend,
-                method=method, schedule=schedule, blocks_per_chunk=3,
+            got = hicoo_mttkrp(hicoo, mats, mode, backend=backend, method=method)
+            assert np.array_equal(got, ref)
+            got_v = hicoo_ttv(
+                hicoo, mats[mode][:, 0], mode, backend=backend, schedule=schedule
             )
-            np.testing.assert_allclose(got, ref, rtol=1e-12)
-
-    @pytest.mark.parametrize("privatize", ["arena", "chunk"])
-    def test_privatization_modes_agree(self, tensor, mats, omp4, privatize):
-        ref = coo_mttkrp(tensor, mats, 0)
-        got = coo_mttkrp(
-            tensor, mats, 0, backend=omp4,
-            schedule="dynamic", privatize=privatize,
-        )
-        np.testing.assert_allclose(got, ref, rtol=1e-12)
-
-    def test_unknown_privatize_rejected(self, tensor, mats):
-        with pytest.raises(ValueError, match="privatization"):
-            coo_mttkrp(tensor, mats, 0, privatize="magic")
+            assert np.array_equal(got_v.values, ref_v.values)
 
     @pytest.mark.parametrize("mode", [0, 1, 2])
     def test_owner_bit_identical_coo(self, tensor, mats, omp4, mode):
@@ -140,7 +130,7 @@ class TestMttkrpEquivalence:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_single_block_hicoo(self, omp4, method):
-        # All entries land in one HiCOO block: one owner, one arena.
+        # All entries land in one HiCOO block, shared by the row owners.
         t = COOTensor(
             (8, 8, 8),
             np.array([[0, 1, 2], [3, 2, 1], [0, 1, 2], [7, 7, 7]]),
@@ -160,14 +150,12 @@ class TestChaosSchedulingEquivalence:
     @pytest.mark.parametrize("method", METHODS)
     def test_coo_mttkrp_under_chaos(self, tensor, mats, chaos, method):
         ref = coo_mttkrp(tensor, mats, 0)
-        got = coo_mttkrp(
-            tensor, mats, 0, backend=chaos, method=method, schedule="dynamic"
-        )
+        got = coo_mttkrp(tensor, mats, 0, backend=chaos, method=method)
         np.testing.assert_allclose(got, ref, rtol=1e-12)
 
     def test_hicoo_mttkrp_under_chaos(self, hicoo, mats, chaos):
         ref = hicoo_mttkrp(hicoo, mats, 0)
-        got = hicoo_mttkrp(hicoo, mats, 0, backend=chaos, blocks_per_chunk=3)
+        got = hicoo_mttkrp(hicoo, mats, 0, backend=chaos)
         np.testing.assert_allclose(got, ref, rtol=1e-12)
 
     def test_coo_ttv_under_chaos(self, tensor, chaos):
@@ -214,72 +202,6 @@ class TestFiberPartitionEquivalence:
             coo_ttv(tensor, np.ones(tensor.shape[0]), 0, partition="magic")
 
 
-class TestWorkspacePool:
-    def test_arena_per_thread_and_reduce(self):
-        pool = WorkspacePool((4, 2), np.float64, max_arenas=3)
-        buf = pool.acquire()
-        assert buf.shape == (4, 2) and buf.sum() == 0
-        assert pool.acquire() is buf  # same thread -> same arena
-        buf[0, 0] = 5.0
-        out = np.ones((4, 2))
-        pool.reduce_into(out)
-        assert out[0, 0] == 6.0
-        assert pool.narenas == 1
-
-    def test_reset_zeroes(self):
-        pool = WorkspacePool((3,), np.float32, max_arenas=1)
-        pool.acquire()[:] = 7
-        pool.reset()
-        assert pool.acquire().sum() == 0
-
-    def test_invariant_bounds_arena_count(self):
-        import threading
-
-        pool = WorkspacePool((2,), np.float64, max_arenas=1)
-        pool.acquire()
-        err = []
-
-        def other():
-            try:
-                pool.acquire()
-            except RuntimeError as exc:
-                err.append(exc)
-
-        t = threading.Thread(target=other)
-        t.start()
-        t.join()
-        assert err, "second thread should exceed max_arenas=1"
-
-    def test_backend_checkout_caches_and_zeroes(self):
-        be = OpenMPBackend(nthreads=2)
-        try:
-            with be.workspace((5, 2), np.float64) as pool:
-                pool.acquire()[:] = 3.0
-                first = pool
-            with be.workspace((5, 2), np.float64) as pool:
-                assert pool is first  # reused, not reallocated
-                assert pool.acquire().sum() == 0  # zeroed between uses
-            with be.workspace((5, 3), np.float64) as pool:
-                assert pool is not first  # different geometry
-        finally:
-            be.shutdown()
-
-    def test_mttkrp_arena_count_bounded(self, tensor, mats):
-        # Dynamic schedule with tiny chunks: many chunks, few arenas.
-        be = OpenMPBackend(nthreads=2, default_chunk=64)
-        try:
-            with be.workspace((tensor.shape[0], 6), np.float64) as pool:
-                pass
-            got = coo_mttkrp(tensor, mats, 0, backend=be, schedule="dynamic")
-            np.testing.assert_allclose(got, coo_mttkrp(tensor, mats, 0), rtol=1e-12)
-            # the pool the kernel used went back into the cache; its arena
-            # count obeys the invariant even though there were ~100 chunks
-            with be.workspace((tensor.shape[0], 6), np.float64) as pool:
-                assert pool.narenas <= be.nthreads
-        finally:
-            be.shutdown()
-
-
 class TestOwnerPartition:
     def test_disjoint_covering_rows(self):
         rng = np.random.default_rng(0)
@@ -297,28 +219,31 @@ class TestOwnerPartition:
             assert (r >= part.row_bounds[p]).all()
             assert (r < part.row_bounds[p + 1]).all()
 
-    def test_alignment_snaps_bounds(self):
-        rng = np.random.default_rng(1)
-        rows = rng.integers(0, 128, size=5000)
-        part = owner_partition(rows, 128, 4, align=16)
-        assert (part.row_bounds[1:-1] % 16 == 0).all()
-
     def test_empty(self):
         part = owner_partition(np.empty(0, dtype=np.int64), 10, 4)
         assert part.nparts == 1
         assert part.entry_ranges() == []
+        assert part.order is None
 
-    def test_owner_scatter_add_matches_reference(self):
-        rng = np.random.default_rng(2)
-        rows = rng.integers(0, 50, size=1000)
-        contrib = rng.random((1000, 4))
-        ref = np.zeros((50, 4))
-        np.add.at(ref, rows, contrib)
-        out = np.zeros((50, 4))
+    def test_grouped_rows_store_no_permutation(self):
+        # Rows sorted along the output mode are already grouped by owner,
+        # so the partition keeps storage order and owns no permutation.
+        rows = np.sort(np.random.default_rng(3).integers(0, 50, size=600))
         part = owner_partition(rows, 50, 3)
-        owner_scatter_add(out, rows, contrib, part, get_backend("sequential"))
-        np.testing.assert_array_equal(out, ref)
+        assert part.order is None
+        assert part.nbytes == part.row_bounds.nbytes + part.part_ptr.nbytes
+        for p, (lo, hi) in enumerate(part.entry_ranges()):
+            assert (rows[lo:hi] >= part.row_bounds[p]).all()
+            assert (rows[lo:hi] < part.row_bounds[p + 1]).all()
 
+    def test_fewer_rows_than_owners(self):
+        part = owner_partition(np.array([2, 0, 1, 2, 0, 1]), 3, 4)
+        assert part.nparts == 3
+        assert part.entry_ranges() == [(0, 2), (2, 4), (4, 6)]
+        assert part.order is not None
+        assert part.nbytes == (
+            part.row_bounds.nbytes + part.part_ptr.nbytes + part.order.nbytes
+        )
 
 class TestGuidedScheduleFloor:
     def test_guided_floors_at_default_chunk(self):
