@@ -72,8 +72,8 @@ def main() -> None:
     for coords, values in powerlaw_stream(
         20_000, SHAPE, dense_modes=(2,), seed=13, batch=2500
     ):
-        state = window.push(coords, values)
-        sizes.append(state.nnz)
+        window.push(coords, values)
+        sizes.append(window.state.nnz)
     print(
         f"sliding window (4 batches): state nnz over time {sizes} — "
         "grows until the window fills, then stabilizes as batches expire"

@@ -3,7 +3,7 @@
 ``BENCH_*.json`` files and run-store journals record what the suite *did*
 measure; nothing so far said whether a new measurement is *worse*.  This
 module is that gate: it pairs two measurement sources case-for-case,
-summarizes each (kernel, fmt, method) group by the **geometric mean of
+summarizes each (kernel, fmt, method, kind) group by the **geometric mean of
 the per-case time ratios** (B over A, >1 means B is slower), brackets
 that geomean with a seeded **bootstrap confidence interval**
 (:func:`repro.metrics.stats.geomean_ratio_ci`), and classifies:
@@ -14,6 +14,11 @@ that geomean with a seeded **bootstrap confidence interval**
 * ``neutral``    — the CI straddles the no-change band;
 * ``insufficient-data`` — fewer matched pairs than ``min_pairs``, or no
   usable ratios; never gates.
+
+A measurement's *kind* is ``host`` (measured wall-clock) or ``modeled``
+(simulated platform time).  Kinds never share a group, and a case
+measured in one source but modeled in the other raises
+:class:`RegressError` instead of being compared.
 
 Sources may be run-store JSONL journals (:mod:`repro.bench.runstore`) or
 bench-harness JSON files (``benchmarks/bench_hotpaths.py`` output, e.g.
@@ -53,31 +58,42 @@ class RegressError(ValueError):
 
 @dataclass(frozen=True)
 class Measurement:
-    """One comparable timing: who it is, which group it gates, seconds."""
+    """One comparable timing: who it is, which group it gates, seconds.
+
+    ``group`` is ``(kernel, fmt, method, kind)``.
+    """
 
     identity: tuple
     group: tuple
     value: float
+
+    @property
+    def kind(self) -> str:
+        return self.group[3]
 
 
 def _store_measurements(path: str) -> list:
     """Measurements out of a run-store journal.
 
     Identity is the sweep cell (tensor, kernel, fmt, platform); the time
-    is the measured host wall-clock when the case recorded one, else the
-    modeled platform time (deterministic, so self-comparison is exact).
+    is the measured host wall-clock (kind ``host``) when the case recorded
+    one, else the modeled platform time (kind ``modeled``; deterministic,
+    so self-comparison is exact).
     """
     state = RunStore(path).load()
     out = []
     for line in state.records.values():
         rec = PerfRecord.from_dict(line["record"])
-        value = rec.host_seconds if rec.host_seconds > 0 else rec.seconds
+        measured = rec.host_seconds > 0
         method = rec.extra.get("method", "")
         out.append(
             Measurement(
                 identity=(rec.tensor, rec.kernel, rec.fmt, rec.platform),
-                group=(rec.kernel, rec.fmt, str(method)),
-                value=float(value),
+                group=(
+                    rec.kernel, rec.fmt, str(method),
+                    "host" if measured else "modeled",
+                ),
+                value=float(rec.host_seconds if measured else rec.seconds),
             )
         )
     return out
@@ -100,6 +116,7 @@ def _bench_measurements(path: str, data: dict) -> list:
                     str(entry.get("kernel", "")),
                     str(entry.get("format", entry.get("fmt", ""))),
                     str(entry.get("method", "")),
+                    "host",
                 ),
                 value=float(value),
             )
@@ -132,7 +149,7 @@ def load_measurements(path: str) -> list:
 
 @dataclass(frozen=True)
 class GroupComparison:
-    """One (kernel, fmt, method) group's verdict."""
+    """One (kernel, fmt, method, kind) group's verdict."""
 
     group: tuple
     n_pairs: int
@@ -142,8 +159,7 @@ class GroupComparison:
 
     @property
     def label(self) -> str:
-        kernel, fmt, method = self.group
-        return "/".join(p for p in (kernel, fmt, method) if p)
+        return "/".join(p for p in self.group if p)
 
     def as_dict(self) -> dict:
         return {
@@ -262,7 +278,8 @@ def compare_measurements(
     """Pair two measurement lists by identity and judge each group.
 
     Within each source, duplicate identities keep the last measurement
-    (matching run-store later-line-wins semantics).
+    (matching run-store later-line-wins semantics).  A matched pair whose
+    kinds differ (measured vs modeled) raises :class:`RegressError`.
     """
     index_a = {m.identity: m for m in a}
     index_b = {m.identity: m for m in b}
@@ -276,6 +293,11 @@ def compare_measurements(
     dropped: dict[tuple, int] = {}
     for identity in shared:
         ma, mb = index_a[identity], index_b[identity]
+        if ma.kind != mb.kind:
+            raise RegressError(
+                f"case {identity} is {ma.kind} in {a_label} but {mb.kind} "
+                f"in {b_label}; measured and modeled times do not compare"
+            )
         group = mb.group
         if ma.value > 0 and mb.value > 0:
             ratios.setdefault(group, []).append(mb.value / ma.value)

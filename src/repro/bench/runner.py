@@ -69,23 +69,33 @@ BENCH_FORMATS = (Format.COO, Format.HICOO)
 #: host-measured path of the named kernels.  Exists so the perf-gate CI
 #: job (and local checks) can synthesize a regression the sentinel must
 #: catch; it propagates into sweep worker subprocesses via the inherited
-#: environment.  Unset or empty = zero overhead.
+#: environment.  Unset or empty = zero overhead; a malformed entry raises.
 PERF_DRAG_ENV = "REPRO_PERF_DRAG"
 
 
 def _drag_seconds(kernel: Kernel) -> float:
-    """The injected slowdown configured for ``kernel`` (0.0 normally)."""
+    """The injected slowdown configured for ``kernel`` (0.0 normally).
+
+    Raises ``ValueError`` naming the entry when any entry is not
+    ``kernel:seconds`` with a known kernel and a non-negative number.
+    """
     spec = os.environ.get(PERF_DRAG_ENV, "")
-    if not spec:
-        return 0.0
-    for part in spec.split(","):
-        name, sep, secs = part.partition(":")
-        if sep and name.strip() == kernel.value:
-            try:
-                return max(0.0, float(secs))
-            except ValueError:
-                return 0.0
-    return 0.0
+    drag = 0.0
+    for part in filter(None, spec.split(",")):
+        name, _, secs = part.partition(":")
+        try:
+            named = Kernel(name.strip())
+            seconds = float(secs)
+        except ValueError:
+            seconds = -1.0
+        if not seconds >= 0.0:  # malformed, negative or nan
+            raise ValueError(
+                f"{PERF_DRAG_ENV}: bad entry {part!r}; expected "
+                f"kernel:seconds, e.g. ttv:0.05"
+            )
+        if named is kernel:
+            drag = seconds
+    return drag
 
 
 def _with_drag(fn, drag_s: float):

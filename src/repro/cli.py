@@ -702,7 +702,6 @@ def _cmd_ingest_bench(args) -> int:
         rank=args.rank,
         alpha=args.alpha,
         seed=args.seed,
-        eviction=args.eviction,
         block_size=args.block_size,
         worker_lifetime=args.worker_lifetime,
         platform=args.platform,
@@ -934,11 +933,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--rank", type=int, default=8)
     p_ingest.add_argument("--alpha", type=float, default=2.0)
     p_ingest.add_argument("--seed", type=int, default=0)
-    p_ingest.add_argument(
-        "--eviction", choices=["exact", "subtract"], default="exact",
-        help="window eviction mode (exact = bit-exact structural rebuild; "
-        "subtract = historical lossy fast path)",
-    )
     p_ingest.add_argument("--block-size", type=int, default=32)
     p_ingest.add_argument(
         "--worker-lifetime", type=int, default=0,
@@ -966,8 +960,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ingest.add_argument(
         "--verify", action="store_true",
-        help="check the final window against a serial replay "
-        "(bit-exact under exact eviction); exit 1 on divergence",
+        help="check the final window bit for bit against a serial "
+        "replay; exit 1 on divergence",
     )
     p_ingest.add_argument("--trace", help="write a Chrome trace to PATH")
     p_ingest.add_argument(

@@ -17,10 +17,12 @@ primitives:
   **sequenced by batch id**, so the live window is bit-identical to a
   serial replay of the stream no matter how workers interleave, churn,
   or how deep the queue runs — the property the chaos tests pin;
-* the live window is a :class:`repro.stream.SlidingWindowTensor` with
-  exact (structural) eviction, re-blocked **incrementally** into HiCOO
-  by :class:`WindowBlocker` — each batch's block/element split is
-  computed once on admit and snapshots only merge the cached parts;
+* the live window is a :class:`repro.stream.SlidingWindowTensor`:
+  applying a batch only appends it and expires the oldest, and the
+  window is coalesced when a query (or the end of the run) reads it.
+  It is re-blocked **incrementally** into HiCOO by
+  :class:`WindowBlocker` — each batch's block/element split is computed
+  once on admit and snapshots only merge the cached parts;
 * the main thread fires **periodic kernel queries** (Ttv / Mttkrp on
   COO and HiCOO snapshots) while ingestion continues, with per-query
   latency, roofline attribution on the final measurements, and injected
@@ -61,7 +63,7 @@ from repro.roofline import RooflineModel, get_platform
 from repro.roofline.oi import cost_for, extract_features
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.hicoo import HiCOOTensor, _hicoo_sort_order
-from repro.stream import EVICTION_MODES, SlidingWindowTensor
+from repro.stream import SlidingWindowTensor
 from repro.types import EINDEX_DTYPE, index_dtype_for
 from repro.util.bits import is_pow2
 from repro.util.prng import rng_from_seed
@@ -101,7 +103,6 @@ class IngestConfig:
     #: Modes drawn uniformly (the paper's short dense modes).
     dense_modes: tuple = (-1,)
     seed: int = 0
-    eviction: str = "exact"
     block_size: int = 32
     #: Batches a worker ingests before retiring and spawning a fresh
     #: replacement thread (worker churn; 0 = stable workers).
@@ -120,10 +121,6 @@ class IngestConfig:
             raise IngestError("events and batch must be >= 1")
         if self.window < 1 or self.workers < 1 or self.queue_depth < 1:
             raise IngestError("window, workers and queue_depth must be >= 1")
-        if self.eviction not in EVICTION_MODES:
-            raise IngestError(
-                f"unknown eviction {self.eviction!r}; expected {EVICTION_MODES}"
-            )
         if not is_pow2(self.block_size) or not (1 <= self.block_size <= 256):
             raise IngestError(
                 f"block_size must be a power of two in [1, 256], "
@@ -151,7 +148,6 @@ class IngestConfig:
             "alpha": self.alpha,
             "dense_modes": list(self.dense_modes),
             "seed": self.seed,
-            "eviction": self.eviction,
             "block_size": self.block_size,
             "worker_lifetime": self.worker_lifetime,
             "platform": self.platform,
@@ -159,15 +155,14 @@ class IngestConfig:
 
     @property
     def fingerprint(self) -> str:
-        """Stable scenario hash; concurrency/fault knobs excluded.
+        """Stable scenario hash over ``to_dict``; only ``fail_at_batch``
+        is excluded.
 
-        ``workers``, ``queue_depth``, ``worker_lifetime`` and
-        ``fail_at_batch`` do not change the *measured scenario's
-        identity-defining stream* (the final window is bit-identical
-        across them), but they do change throughput — so they stay in the
-        hash via ``to_dict`` **except** ``fail_at_batch``, which is pure
-        fault injection: a resumed run without the fault must match the
-        faulted run's fingerprint to clear its quarantine.
+        ``workers``, ``queue_depth`` and ``worker_lifetime`` leave the
+        final window bit-identical but change throughput, so they stay
+        in the hash.  ``fail_at_batch`` is pure fault injection: a
+        resumed run without the fault must match the faulted run's
+        fingerprint to clear its quarantine.
         """
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:32]
@@ -209,9 +204,9 @@ class _StoreCase:
 def reference_window_state(config: IngestConfig) -> COOTensor:
     """Serial replay of the stream's final window (the ground truth).
 
-    Bit-identical to the concurrent bench's final ``state`` under exact
-    eviction: both coalesce the concatenation of the last ``window``
-    generated batches in stream order.
+    Bit-identical to the concurrent bench's final ``state``: both
+    coalesce the concatenation of the last ``window`` generated batches
+    in stream order.
     """
     live: list = []
     for coords, values in powerlaw_stream(
@@ -332,6 +327,18 @@ class WindowBlocker:
         )
 
 
+#: ``IngestResult.summary()`` key -> result field, for every key that is
+#: not a config echo (``workers``, ``window``).
+_SUMMARY_FIELDS = {
+    key: key for key in (
+        "events", "batches", "evictions", "queries", "query_failures",
+        "backpressure_stalls", "queue_max_depth", "duration_s",
+        "events_per_s", "latency_s", "window_nnz", "reblocks",
+        "reblock_cache_hits",
+    )
+} | {"churned_workers": "churned"}
+
+
 @dataclass
 class IngestResult:
     """Everything one ingestion-bench run measured."""
@@ -364,25 +371,27 @@ class IngestResult:
 
     def summary(self) -> dict:
         """The JSON-safe ingest summary stamped into ``PerfRecord.extra``."""
-        return {
-            "events": self.events,
-            "batches": self.batches,
-            "evictions": self.evictions,
-            "queries": self.queries,
-            "query_failures": self.query_failures,
-            "churned_workers": self.churned,
-            "backpressure_stalls": self.backpressure_stalls,
-            "queue_max_depth": self.queue_max_depth,
-            "duration_s": self.duration_s,
-            "events_per_s": self.events_per_s,
-            "latency_s": self.latency_s,
-            "window_nnz": self.window_nnz,
-            "reblocks": self.reblocks,
-            "reblock_cache_hits": self.reblock_cache_hits,
-            "workers": self.config.workers,
-            "window": self.config.window,
-            "eviction": self.config.eviction,
+        out = {key: getattr(self, f) for key, f in _SUMMARY_FIELDS.items()}
+        out.update(workers=self.config.workers, window=self.config.window)
+        return out
+
+    @classmethod
+    def from_summary(
+        cls, config: IngestConfig, summary: dict, records: list
+    ) -> "IngestResult":
+        """The inverse of :meth:`summary`: a cache-served result (no state)
+        with its journaled ``records`` and their query latencies."""
+        result = cls(
+            config=config,
+            records=records,
+            **{f: summary[key] for key, f in _SUMMARY_FIELDS.items()},
+        )
+        result.query_latency_s = {
+            (r.kernel, r.fmt): r.extra["ingest"]["query_latency_s"]
+            for r in records
+            if r.kernel != "ingest" and "ingest" in r.extra
         }
+        return result
 
     def as_dict(self) -> dict:
         return {
@@ -408,8 +417,7 @@ class IngestResult:
             f"{self.duration_s:.2f}s = {self.events_per_s / 1e3:.1f}k ev/s"
             + (" (cached)" if self.from_cache else ""),
             f"  batches {self.batches} of {cfg.batch} | window {cfg.window} "
-            f"({cfg.eviction} eviction) | evictions {self.evictions} | "
-            f"final nnz {self.window_nnz}",
+            f"| evictions {self.evictions} | final nnz {self.window_nnz}",
             f"  ingest latency p50 {ms(lat, 'p50')} p95 {ms(lat, 'p95')} "
             f"p99 {ms(lat, 'p99')}",
             f"  queue depth max {self.queue_max_depth}/{cfg.queue_depth}, "
@@ -530,7 +538,6 @@ class IngestBench:
         False when the run has failed and the worker should exit.
         """
         cfg = self.config
-        metrics = get_metrics()
         with self._apply_cond:
             while self._next_bid != bid and self._failure is None:
                 self._apply_cond.wait(timeout=1.0)
@@ -540,14 +547,11 @@ class IngestBench:
                 raise IngestError(
                     f"injected ingest failure at batch {bid}"
                 )
-            self._window.push(coords, values)
+            expired = self._window.push(coords, values)
             self._blocker.admit(bid, part)
-            if bid >= cfg.window:
-                self._blocker.evict(bid - cfg.window)
+            if expired is not None:
+                self._blocker.evict(expired)
             self._next_bid = bid + 1
-            # Set under the sequencing lock so the last write is the
-            # last batch's level, whichever worker applied it.
-            metrics.set_gauge("ingest.window_nnz", self._window.state.nnz)
             self._apply_cond.notify_all()
         return True
 
@@ -617,6 +621,7 @@ class IngestBench:
         with self._apply_cond:
             snap = self._window.state
             version = self._window.version
+        metrics.set_gauge("ingest.window_nnz", snap.nnz)
         if snap.nnz == 0:
             return
         hic = self._blocker.snapshot(version)
@@ -667,9 +672,7 @@ class IngestBench:
         cfg = self.config
         self._queue: queue.Queue = queue.Queue(maxsize=cfg.queue_depth)
         self._slots = SlotPool(cfg.workers)
-        self._window = SlidingWindowTensor(
-            cfg.shape, cfg.window, eviction=cfg.eviction
-        )
+        self._window = SlidingWindowTensor(cfg.shape, cfg.window)
         self._blocker = WindowBlocker(cfg.shape, cfg.block_size)
         self._apply_cond = threading.Condition()
         self._stats_lock = threading.Lock()
@@ -745,6 +748,10 @@ class IngestBench:
             if cfg.query_every:
                 self._run_queries(collector)
         duration = time.perf_counter() - t_start
+        # The gauge is set where the window is read: each query round and
+        # here, all on this thread, so the last write is the final window.
+        state = self._window.state
+        get_metrics().set_gauge("ingest.window_nnz", state.nnz)
 
         result = IngestResult(
             config=cfg,
@@ -762,10 +769,10 @@ class IngestBench:
             query_latency_s={
                 cell: percentiles(times) for cell, times in collector.items()
             },
-            window_nnz=self._window.state.nnz,
+            window_nnz=state.nnz,
             reblocks=self._blocker.reblocks,
             reblock_cache_hits=self._blocker.cache_hits,
-            state=self._window.state,
+            state=state,
         )
         result.records = self._build_records(result, collector)
         _LOG.info(
@@ -838,17 +845,13 @@ class IngestBench:
 def verify_window_state(result: IngestResult) -> "tuple[bool, str]":
     """Check the run's final window against a serial replay.
 
-    Bit-exact comparison (coordinates *and* float bit patterns) under
-    exact eviction; tolerance-based under the lossy ``subtract`` mode.
+    Bit-exact comparison (coordinates *and* float bit patterns).
     Returns ``(ok, detail)``.
     """
     if result.state is None:
         return True, "skipped (cache-served result carries no state)"
     want = reference_window_state(result.config)
     got = result.state
-    if result.config.eviction != "exact":
-        ok = got.allclose(want)
-        return ok, "tolerance comparison (subtract eviction is lossy)"
     if got.shape != want.shape:
         return False, f"shape {got.shape} != {want.shape}"
     if not np.array_equal(got.indices, want.indices):
@@ -894,25 +897,9 @@ def run_ingest_bench(
                 for fp in sorted(state.records)
                 if fp.startswith(prefix)
             ]
-            summary = line["record"].get("extra", {}).get("ingest", {})
-            result = IngestResult(config=config, records=records)
-            for key in (
-                "events", "batches", "evictions", "queries",
-                "query_failures", "backpressure_stalls", "queue_max_depth",
-                "window_nnz", "reblocks", "reblock_cache_hits",
-            ):
-                if key in summary:
-                    setattr(result, key, summary[key])
-            result.churned = summary.get("churned_workers", 0)
-            result.duration_s = summary.get("duration_s", 0.0)
-            result.events_per_s = summary.get("events_per_s", 0.0)
-            result.latency_s = summary.get("latency_s")
-            result.query_latency_s = {
-                (r.kernel, r.fmt): r.extra["ingest"]["query_latency_s"]
-                for r in records
-                if r.kernel != "ingest" and "ingest" in r.extra
-            }
-            return result
+            return IngestResult.from_summary(
+                config, line["record"]["extra"]["ingest"], records
+            )
 
     bench = IngestBench(config, query_backend=query_backend)
     t0 = time.perf_counter()

@@ -28,10 +28,6 @@ from repro.sptensor.coo import COOTensor
 from repro.types import VALUE_DTYPE
 from repro.util.validation import check_indices_in_bounds, check_shape
 
-#: Sliding-window eviction strategies (see :class:`SlidingWindowTensor`).
-EVICTION_MODES = ("exact", "subtract")
-
-
 def validate_batch(
     shape: Sequence[int], coords: np.ndarray, values: np.ndarray
 ) -> "tuple[np.ndarray, np.ndarray]":
@@ -142,98 +138,61 @@ class StreamingTensorBuilder:
 class SlidingWindowTensor:
     """A tensor over the last ``window`` event batches.
 
-    Each ``push`` admits one batch, evicts the oldest batch beyond the
-    window, and keeps the materialized ``state`` equal to the coalesced
-    sum of the live batches — the state a streaming anomaly detector
-    queries.
+    ``push`` admits one batch and evicts the oldest batch beyond the
+    window; it never coalesces.  ``state`` is the coalesced sum of the
+    live batches — the state a streaming anomaly detector queries — built
+    on the first read after a push and memoized per ``version``.
 
-    Eviction modes
-    --------------
-    ``"exact"`` (default)
-        Structural eviction: the retained batches are re-coalesced, so
-        ``state`` is **bit-identical** to
-        ``COOTensor(shape, concat(coords), concat(values)).coalesce()``
-        over the live batches — genuine values of any magnitude (even
-        below 1e-12) and exact cancellations (explicit zeros) survive,
-        and no floating-point residue ever drifts the state.  Costs
-        O(window x batch) per push.
-    ``"subtract"``
-        The historical fast path: the expired batch is subtracted
-        (sparse Tew) and near-zeros are dropped with ``subtract_atol``.
-        O(state) per push, but **lossy**: any live value with magnitude
-        <= ``subtract_atol`` is silently destroyed and subtraction
-        residue accumulates.  Opt in only when the window sum is known
-        to stay far from the tolerance.
+    Eviction is structural: ``state`` is **bit-identical** to
+    ``COOTensor(shape, concat(coords), concat(values)).coalesce()`` over
+    the live batches, so genuine values of any magnitude (even below
+    1e-12) and exact cancellations (explicit zeros) survive, and no
+    floating-point residue ever drifts the state.  ``push`` is O(batch);
+    a read after a push costs one O(window x batch) coalesce.
     """
 
-    def __init__(
-        self,
-        shape: Sequence[int],
-        window: int,
-        eviction: str = "exact",
-        subtract_atol: float = 1e-12,
-    ):
+    def __init__(self, shape: Sequence[int], window: int):
         if window < 1:
             raise ShapeError("window must be >= 1")
-        if eviction not in EVICTION_MODES:
-            raise ValueError(
-                f"unknown eviction mode {eviction!r}; expected one of "
-                f"{EVICTION_MODES}"
-            )
         self.shape = check_shape(shape)
         self.window = int(window)
-        self.eviction = eviction
-        self.subtract_atol = float(subtract_atol)
-        #: Raw validated batches (exact mode's rebuild source).
+        #: Validated live batches, oldest first.
         self._raw: deque[tuple[np.ndarray, np.ndarray]] = deque()
-        #: Per-batch coalesced tensors (subtract mode's eviction source).
-        self._coalesced: deque[COOTensor] = deque()
-        self._state: COOTensor = COOTensor.empty(self.shape)
+        self._memo_version = 0
+        self._memo: COOTensor = COOTensor.empty(self.shape)
         #: Monotonic push counter (snapshot/memoization key for readers).
         self.version = 0
         #: Batches expired out of the window so far.
         self.evictions = 0
 
-    def push(self, coords: np.ndarray, values: np.ndarray) -> COOTensor:
-        """Admit a batch, evict the expired one, return the live tensor."""
+    def push(self, coords: np.ndarray, values: np.ndarray) -> "int | None":
+        """Admit a batch and evict the expired one.
+
+        Returns the push index (0-based) of the batch this push expired,
+        or ``None`` while the window is still filling.
+        """
         coords, values = validate_batch(self.shape, coords, values)
-        if self.eviction == "exact":
-            self._raw.append((coords, values))
-            if len(self._raw) > self.window:
-                self._raw.popleft()
-                self.evictions += 1
-            self._state = self._rebuild()
-        else:
-            from repro.kernels.tew import coo_tew
-
-            batch = COOTensor(
-                self.shape, coords, values, copy=False, check=False
-            ).coalesce()
-            self._coalesced.append(batch)
-            self._state = coo_tew(self._state, batch, "add")
-            if len(self._coalesced) > self.window:
-                expired = self._coalesced.popleft()
-                self.evictions += 1
-                self._state = coo_tew(self._state, expired, "sub").drop_zeros(
-                    self.subtract_atol
-                )
+        self._raw.append((coords, values))
+        expired = None
+        if len(self._raw) > self.window:
+            self._raw.popleft()
+            self.evictions += 1
+            expired = self.version - self.window
         self.version += 1
-        return self._state
-
-    def _rebuild(self) -> COOTensor:
-        """Coalesce the live batches from scratch (the exact invariant)."""
-        if not self._raw:
-            return COOTensor.empty(self.shape)
-        coords = np.concatenate([c for c, _ in self._raw], axis=0)
-        values = np.concatenate([v for _, v in self._raw])
-        return COOTensor(
-            self.shape, coords, values, copy=False, check=False
-        ).coalesce()
+        return expired
 
     @property
     def state(self) -> COOTensor:
-        return self._state
+        """The coalesced live window (rebuilt once per ``version``)."""
+        if self._memo_version != self.version:
+            coords = np.concatenate([c for c, _ in self._raw], axis=0)
+            values = np.concatenate([v for _, v in self._raw])
+            self._memo = COOTensor(
+                self.shape, coords, values, copy=False, check=False
+            ).coalesce()
+            self._memo_version = self.version
+        return self._memo
 
     @property
     def nbatches(self) -> int:
-        return len(self._raw) if self.eviction == "exact" else len(self._coalesced)
+        return len(self._raw)

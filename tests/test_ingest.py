@@ -49,8 +49,6 @@ class TestIngestConfig:
         with pytest.raises(IngestError):
             IngestConfig(workers=0)
         with pytest.raises(IngestError):
-            IngestConfig(eviction="nope")
-        with pytest.raises(IngestError):
             IngestConfig(block_size=3)
 
     def test_fingerprint_stable_and_fault_insensitive(self):
@@ -168,10 +166,14 @@ class TestConcurrentIngest:
         assert "ingest_batches" in text
         assert "ingest_events" in text
 
-    def test_window_nnz_gauge_is_the_window_not_a_worker_sum(self, registry):
-        # Four workers each set the gauge; the registry must report the
-        # window's one level, not the sum of each worker's last value.
-        result = IngestBench(IngestConfig(workers=4, events=60_000)).run()
+    @pytest.mark.parametrize("query_every", [0, 8])
+    def test_window_nnz_gauge_is_the_window_not_a_worker_sum(
+        self, registry, query_every
+    ):
+        # The registry must report the window's one level, not a sum over
+        # threads, and a run without queries must still set it.
+        cfg = IngestConfig(workers=4, events=60_000, query_every=query_every)
+        result = IngestBench(cfg).run()
         assert registry.gauge_value("ingest.window_nnz") == result.window_nnz
 
 
@@ -253,6 +255,7 @@ class TestRunIngestBench:
         assert again.events == first.events
         assert again.window_nnz == first.window_nnz
         assert again.latency_s == first.latency_s
+        assert again.summary() == first.summary()
         assert len(again.records) == len(first.records)
         assert {(r.kernel, r.fmt) for r in again.records} == {
             (r.kernel, r.fmt) for r in first.records

@@ -1,6 +1,7 @@
 """Tests for the perf-regression sentinel (repro.bench.regress)."""
 
 import json
+import re
 
 import pytest
 
@@ -20,7 +21,7 @@ from repro.bench.regress import (
 def _meas(tensor, kernel="ttv", fmt="coo", value=1.0, method=""):
     return Measurement(
         identity=(tensor, kernel, fmt, "Bluesky"),
-        group=(kernel, fmt, method),
+        group=(kernel, fmt, method, "host"),
         value=value,
     )
 
@@ -125,7 +126,21 @@ class TestLoaders:
         ms = load_measurements(path)
         assert len(ms) == 4
         assert all(m.value in (0.01, 0.02, 0.03, 0.04) for m in ms)
-        assert {m.group for m in ms} == {("ttv", "coo", ""), ("ttv", "hicoo", "")}
+        assert {m.group for m in ms} == {
+            ("ttv", "coo", "", "host"), ("ttv", "hicoo", "", "host"),
+        }
+
+    def test_store_without_host_time_is_modeled(self, tmp_path):
+        path = self._write_store(tmp_path, "a.jsonl", host_scale=0.0)
+        ms = load_measurements(path)
+        assert all(m.kind == "modeled" for m in ms)
+        assert sorted(m.value for m in ms) == [0.001, 0.002, 0.003, 0.004]
+
+    def test_measured_store_vs_modeled_store_raises(self, tmp_path):
+        measured = self._write_store(tmp_path, "a.jsonl")
+        modeled = self._write_store(tmp_path, "b.jsonl", host_scale=0.0)
+        with pytest.raises(RegressError, match="measured and modeled"):
+            compare_paths(measured, modeled)
 
     def test_self_compare_exits_zero(self, tmp_path):
         path = self._write_store(tmp_path, "a.jsonl")
@@ -159,7 +174,8 @@ class TestLoaders:
         ms = load_measurements(str(path))
         assert len(ms) == 2
         assert {m.group for m in ms} == {
-            ("mttkrp", "coo", "atomic"), ("mttkrp", "coo", "owner"),
+            ("mttkrp", "coo", "atomic", "host"),
+            ("mttkrp", "coo", "owner", "host"),
         }
         # Identity excludes measurement fields, so a re-run with different
         # timings pairs with the original.
@@ -195,13 +211,24 @@ class TestDragInjection:
         # Modeled platform time is unaffected.
         assert slow.seconds == pytest.approx(fast.seconds)
 
-    def test_drag_ignores_other_kernels_and_garbage(self, monkeypatch):
+    def test_drag_ignores_other_kernels(self, monkeypatch):
         from repro.bench.runner import _drag_seconds
         from repro.types import Kernel
 
-        monkeypatch.setenv("REPRO_PERF_DRAG", "ttv:0.05,ttm:oops")
+        monkeypatch.setenv("REPRO_PERF_DRAG", "ttv:0.05,ttm:0")
         assert _drag_seconds(Kernel.TTV) == 0.05
         assert _drag_seconds(Kernel.TTM) == 0.0
         assert _drag_seconds(Kernel.TEW) == 0.0
         monkeypatch.delenv("REPRO_PERF_DRAG")
         assert _drag_seconds(Kernel.TTV) == 0.0
+
+    @pytest.mark.parametrize(
+        "entry", ["ttv:5ms", "ttm:oops", "spmv:0.05", "ttv", "ttv:-1", "ttv:nan"]
+    )
+    def test_drag_rejects_malformed_entries(self, monkeypatch, entry):
+        from repro.bench.runner import _drag_seconds
+        from repro.types import Kernel
+
+        monkeypatch.setenv("REPRO_PERF_DRAG", f"mttkrp:0.01,{entry}")
+        with pytest.raises(ValueError, match=re.escape(repr(entry))):
+            _drag_seconds(Kernel.TEW)

@@ -74,7 +74,8 @@ class TestSlidingWindow:
             for _ in range(6)
         ]
         for coords, values in batches:
-            state = w.push(coords, values)
+            w.push(coords, values)
+        state = w.state
         # state must equal sum of the last 3 batches
         want = COOTensor.empty(shape).astype(np.float64)
         from repro.kernels import coo_tew
@@ -89,15 +90,13 @@ class TestSlidingWindow:
     def test_eviction_removes_entries(self):
         w = SlidingWindowTensor((5, 5), window=1)
         w.push(np.array([[0, 0]]), np.array([1.0]))
-        state = w.push(np.array([[4, 4]]), np.array([2.0]))
-        d = state.to_dense()
+        w.push(np.array([[4, 4]]), np.array([2.0]))
+        d = w.state.to_dense()
         assert d[0, 0] == 0.0 and d[4, 4] == 2.0
 
     def test_window_validation(self):
         with pytest.raises(ShapeError):
             SlidingWindowTensor((5, 5), window=0)
-        with pytest.raises(ValueError):
-            SlidingWindowTensor((5, 5), window=2, eviction="nope")
 
     def test_push_validates_bounds_immediately(self):
         w = SlidingWindowTensor((5, 5), window=2)
@@ -112,8 +111,8 @@ class TestSlidingWindow:
         b.push(np.array([[1, 2]]), np.array([3]))
         assert np.issubdtype(b._staged_values[0].dtype, np.floating)
         w = SlidingWindowTensor((5, 5), window=2)
-        state = w.push(np.array([[1, 2]]), np.array([3]))
-        assert np.issubdtype(state.values.dtype, np.floating)
+        w.push(np.array([[1, 2]]), np.array([3]))
+        assert np.issubdtype(w.state.values.dtype, np.floating)
 
     def test_push_copies_input_arrays(self):
         coords = np.array([[1, 1]])
@@ -154,13 +153,11 @@ def _assert_bit_exact(state, want):
 
 
 class TestExactEviction:
-    """The sliding window's exact mode is bit-identical to re-coalescing.
+    """The sliding window is bit-identical to re-coalescing.
 
-    These are the regression tests for the eviction-corruption bug: the
-    old subtract-and-drop path destroyed genuine values <= its tolerance
-    and drifted state through float residue.  ``test_subtract_mode_*``
-    pin that the opt-in lossy mode still loses — i.e. they FAIL when run
-    against the old default.
+    These are the regression tests for the eviction-corruption bug: an
+    old subtract-and-drop eviction destroyed genuine values <= its
+    tolerance and drifted state through float residue.
     """
 
     @pytest.mark.parametrize("window", [1, 3, 10])
@@ -173,10 +170,10 @@ class TestExactEviction:
             n = int(rng.integers(1, 40))
             coords = rng.integers(0, shape, size=(n, 3))
             values = rng.random(n, dtype=np.float64)
-            state = w.push(coords, values)
+            w.push(coords, values)
             live.append((coords, values))
             live = live[-window:]
-            _assert_bit_exact(state, _window_reference(shape, live))
+            _assert_bit_exact(w.state, _window_reference(shape, live))
         assert w.nbatches == min(7, window)
         assert w.evictions == max(0, 7 - window)
         assert w.version == 7
@@ -187,7 +184,8 @@ class TestExactEviction:
         shape = (4, 4)
         w = SlidingWindowTensor(shape, window=2)
         for i in range(5):
-            state = w.push(np.array([[i % 4, 0]]), np.array([1e-15]))
+            w.push(np.array([[i % 4, 0]]), np.array([1e-15]))
+        state = w.state
         assert state.nnz == 2
         assert np.all(state.values == 1e-15)
 
@@ -197,53 +195,25 @@ class TestExactEviction:
         shape = (3, 3)
         w = SlidingWindowTensor(shape, window=2)
         w.push(np.array([[1, 1]]), np.array([1.0]))
-        state = w.push(np.array([[1, 1]]), np.array([-1.0]))
+        w.push(np.array([[1, 1]]), np.array([-1.0]))
         want = _window_reference(
             shape,
             [(np.array([[1, 1]]), np.array([1.0])),
              (np.array([[1, 1]]), np.array([-1.0]))],
         )
         assert want.nnz == 1  # the reference itself keeps the zero
-        _assert_bit_exact(state, want)
+        _assert_bit_exact(w.state, want)
 
     def test_no_float_residue_after_eviction(self):
-        # 0.1 + 0.2 - 0.1 != 0.2 in binary floating point: the subtract
-        # path leaves residue at [0,0]; exact mode is residue-free.
+        # 0.1 + 0.2 - 0.1 != 0.2 in binary floating point: a subtracting
+        # eviction leaves residue at [0,0]; the rebuild is residue-free.
         shape = (2, 2)
         w = SlidingWindowTensor(shape, window=1)
         w.push(np.array([[0, 0]]), np.array([0.1]))
-        state = w.push(np.array([[0, 0]]), np.array([0.2]))
+        w.push(np.array([[0, 0]]), np.array([0.2]))
+        state = w.state
         assert state.nnz == 1
         assert state.values[0] == np.float64(0.2)
-
-    def test_subtract_mode_destroys_tiny_values(self):
-        # The documented loss of the opt-in fast path (and the bug when
-        # it was the only path): an eviction drops live tiny values.
-        w = SlidingWindowTensor((4, 4), window=1, eviction="subtract")
-        w.push(np.array([[0, 0]]), np.array([1.0]))
-        state = w.push(np.array([[1, 1]]), np.array([1e-15]))
-        assert state.nnz == 0  # the genuine 1e-15 entry is gone
-        exact = SlidingWindowTensor((4, 4), window=1)
-        exact.push(np.array([[0, 0]]), np.array([1.0]))
-        state = exact.push(np.array([[1, 1]]), np.array([1e-15]))
-        assert state.nnz == 1 and state.values[0] == 1e-15
-
-    def test_subtract_mode_still_close_for_large_values(self):
-        # The fast path remains available and approximately correct when
-        # magnitudes stay far above the tolerance.
-        rng = np.random.default_rng(5)
-        shape = (15, 15)
-        fast = SlidingWindowTensor(shape, window=3, eviction="subtract")
-        exact = SlidingWindowTensor(shape, window=3)
-        for _ in range(8):
-            n = int(rng.integers(5, 30))
-            coords = rng.integers(0, 15, size=(n, 2))
-            values = rng.random(n) + 0.5
-            f = fast.push(coords, values)
-            e = exact.push(coords, values)
-        np.testing.assert_allclose(
-            f.to_dense(), e.to_dense(), rtol=1e-9, atol=1e-9
-        )
 
     def test_powerlaw_stream_windowed_bit_exact(self):
         shape = (64, 64, 8)
@@ -252,7 +222,7 @@ class TestExactEviction:
         for coords, values in powerlaw_stream(
             3000, shape, dense_modes=(2,), seed=9, batch=512
         ):
-            state = w.push(coords, values)
+            w.push(coords, values)
             live.append((coords, values.astype(np.float64)))
             live = live[-3:]
         # reference in the same dtype the window accumulates
@@ -261,4 +231,29 @@ class TestExactEviction:
             np.float32
         )
         want = COOTensor(shape, coords, values).coalesce()
-        _assert_bit_exact(state, want)
+        _assert_bit_exact(w.state, want)
+
+
+class TestLazyWindow:
+    def test_push_never_coalesces_and_reads_memoize(self, monkeypatch):
+        calls = []
+        coalesce = COOTensor.coalesce
+
+        def counting(self):
+            calls.append(self.nnz)
+            return coalesce(self)
+
+        monkeypatch.setattr(COOTensor, "coalesce", counting)
+        rng = np.random.default_rng(2)
+        w = SlidingWindowTensor((10, 10), window=3)
+        expired = [
+            w.push(rng.integers(0, 10, size=(20, 2)), rng.random(20))
+            for _ in range(6)
+        ]
+        assert calls == []
+        assert expired == [None, None, None, 0, 1, 2]
+        first = w.state
+        assert w.state is first
+        assert calls == [60]
+        w.push(np.array([[1, 1]]), np.array([1.0]))
+        assert w.state is not first and len(calls) == 2
