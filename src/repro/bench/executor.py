@@ -127,6 +127,13 @@ class ExecutorConfig:
             raise ExecutorError(f"retries must be >= 0 (got {self.retries})")
         if self.workers < 1:
             raise ExecutorError(f"workers must be >= 1 (got {self.workers})")
+        if not self.timeout_s > 0:
+            raise ExecutorError(f"timeout_s must be > 0 (got {self.timeout_s})")
+        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
+            raise ExecutorError(
+                f"backoff_base_s and backoff_max_s must be >= 0 (got "
+                f"{self.backoff_base_s}, {self.backoff_max_s})"
+            )
 
 
 def match_fault(case: SweepCase, faults: "dict | None") -> dict:

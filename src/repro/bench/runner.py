@@ -11,8 +11,11 @@ For every (tensor, kernel, format) the runner produces a
   averaged over modes);
 * the per-tensor roofline bound and efficiency.
 
-The paper benchmarks Tew via addition and Ts via multiplication with both
-operands sharing a pattern (Sec. 5.1.2); the runner follows that.
+Both timed paths apply one protocol (:func:`protocol_calls`, paper
+Sec. 5.1.2) through one kernel table per target: Tew adds the tensor to
+itself on one pattern, Ts scales it by 1.5, and Ttv/Ttm/Mttkrp run once
+per mode and are averaged.  :data:`HOST_KERNELS` runs the calls on a
+backend, :data:`GPU_KERNELS` simulates them on a device.
 """
 
 from __future__ import annotations
@@ -22,36 +25,18 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
+from repro import gpu, kernels
 from repro.types import DEFAULT_BLOCK_SIZE, DEFAULT_RANK, Format, Kernel
-from repro.kernels import (
-    coo_mttkrp,
-    coo_tew,
-    coo_ts,
-    coo_ttm,
-    coo_ttv,
-    hicoo_mttkrp,
-    hicoo_tew,
-    hicoo_ts,
-    hicoo_ttm,
-    hicoo_ttv,
-)
 from repro.bench.cpumodel import modeled_cpu_time
 from repro.gpu.device import DeviceSpec
-from repro.gpu.kernels import (
-    gpu_coo_mttkrp,
-    gpu_hicoo_mttkrp,
-    gpu_tew,
-    gpu_ts,
-    gpu_ttm,
-    gpu_ttv,
-)
 from repro.metrics.perf import PerfRecord, efficiency, gflops
 from repro.metrics.stats import mean_over_modes
-from repro.obs.attribution import attach_to_trace, attribute
+from repro.obs.attribution import attribute
 from repro.obs.tracer import CAT_KERNEL, current_tracer
 from repro.parallel.backend import Backend, get_backend
 from repro.roofline.model import RooflineModel
@@ -64,6 +49,24 @@ from repro.util.timing import time_call
 
 ALL_KERNELS = (Kernel.TEW, Kernel.TS, Kernel.TTV, Kernel.TTM, Kernel.MTTKRP)
 BENCH_FORMATS = (Format.COO, Format.HICOO)
+
+#: The format-polymorphic kernels the host path times; target: a backend.
+HOST_KERNELS = {
+    Kernel.TEW: kernels.tew,
+    Kernel.TS: kernels.ts,
+    Kernel.TTV: kernels.ttv,
+    Kernel.TTM: kernels.ttm,
+    Kernel.MTTKRP: kernels.mttkrp,
+}
+
+#: The format-polymorphic GPU simulations; target: a device.
+GPU_KERNELS = {
+    Kernel.TEW: gpu.gpu_tew,
+    Kernel.TS: gpu.gpu_ts,
+    Kernel.TTV: gpu.gpu_ttv,
+    Kernel.TTM: gpu.gpu_ttm,
+    Kernel.MTTKRP: gpu.gpu_mttkrp,
+}
 
 #: ``"kernel:seconds,kernel:seconds"`` — injects a per-call sleep into the
 #: host-measured path of the named kernels.  Exists so the perf-gate CI
@@ -159,11 +162,6 @@ class RunnerConfig:
     #: the cache crossovers of Observation 2 land on the same *relative*
     #: tensor sizes.  1.0 = paper-scale tensors.
     cache_scale: float = 1.0
-    #: Record a span trace per (kernel, format) measurement and attach the
-    #: load-imbalance analytics (:func:`repro.obs.analyze`) to
-    #: ``PerfRecord.extra["obs"]``.  Off by default — tracing perturbs the
-    #: host timings it observes.
-    trace: bool = False
 
 
 @dataclass
@@ -232,6 +230,32 @@ class TensorBundle:
             ]
             self._operands = (vectors, matrices)
         return self._operands
+
+
+def protocol_calls(
+    kernel: Kernel, fmt: Format, bundle: TensorBundle, fn: Callable, target
+) -> list:
+    """The paper's calls for one cell (Sec. 5.1.2), each ``fn(x, operand,
+    mode, target)`` bound and ready to run.
+
+    ``x`` is the bundle's ``fmt`` tensor.  Tew is one ``x + x`` on one
+    pattern and Ts one ``x * 1.5`` (the ``mode`` slot carries the
+    operator); Ttv, Ttm and Mttkrp make one call per mode, whose times
+    the caller averages with :func:`mean_over_modes`.
+    """
+    x = bundle.coo if fmt is Format.COO else bundle.hicoo
+    if kernel is Kernel.TEW:
+        return [partial(fn, x, x, "add", target, assume_same_pattern=True)]
+    if kernel is Kernel.TS:
+        return [partial(fn, x, 1.5, "mul", target)]
+    modes = range(bundle.coo.nmodes)
+    if kernel is Kernel.TTV:
+        return [partial(fn, x, bundle.vectors[m], m, target) for m in modes]
+    if kernel is Kernel.TTM:
+        return [partial(fn, x, bundle.matrices[m], m, target) for m in modes]
+    if kernel is Kernel.MTTKRP:
+        return [partial(fn, x, bundle.matrices, m, target) for m in modes]
+    raise ValueError(kernel)
 
 
 @dataclass(frozen=True)
@@ -418,64 +442,41 @@ class SuiteRunner:
         fmt = Format.coerce(fmt)
         cost = cost_for(bundle.features, kernel, fmt, self.config.rank)
         bound = self.roofline.attainable(cost.oi)
-        tracer = None
-        if self.config.trace:
-            from repro.obs import Tracer
-
-            tracer = Tracer(
-                meta={
-                    "tensor": bundle.name,
-                    "kernel": kernel.value,
-                    "fmt": fmt.value,
-                    "platform": self.platform.name,
-                }
-            ).install()
         # The whole measurement gets one top-level kernel span (named
         # ``run.`` to keep it distinct from real kernel-internal spans),
         # so a trace always carries a CAT_KERNEL event — including on
-        # the modeled path, where no host kernel ever runs.  Reading the
-        # active tracer *after* the optional install means a per-case
-        # config.trace tracer (or a worker's installed request tracer)
-        # records it; disabled, this is the shared null context.
-        obs = current_tracer()
-        try:
-            with obs.span(
-                f"run.{kernel.value}",
-                cat=CAT_KERNEL,
-                tensor=bundle.name,
-                fmt=fmt.value,
-                platform=self.platform.name,
-            ):
-                if self.platform.is_gpu:
-                    seconds, host_seconds, extra = self._gpu_time(bundle, kernel, fmt)
-                else:
-                    timing = modeled_cpu_time(
-                        self.platform, kernel, fmt, bundle.features, self.config.rank
-                    )
-                    seconds = timing.total_s
-                    extra = {
-                        "memory_s": timing.memory_s,
-                        "fiber_s": timing.fiber_s,
-                        "atomic_s": timing.atomic_s,
-                        "cache_resident": timing.cache_resident,
-                    }
-                    host_seconds = (
-                        self._host_time(bundle, kernel, fmt)
-                        if self.config.measure_host
-                        else 0.0
-                    )
-        finally:
-            if tracer is not None:
-                tracer.uninstall()
+        # the modeled path, where no host kernel ever runs.  Disabled,
+        # this is the shared null context.
+        with current_tracer().span(
+            f"run.{kernel.value}",
+            cat=CAT_KERNEL,
+            tensor=bundle.name,
+            fmt=fmt.value,
+            platform=self.platform.name,
+        ):
+            if self.platform.is_gpu:
+                seconds, extra = self._gpu_time(bundle, kernel, fmt)
+                host_seconds = 0.0
+            else:
+                timing = modeled_cpu_time(
+                    self.platform, kernel, fmt, bundle.features, self.config.rank
+                )
+                seconds = timing.total_s
+                extra = {
+                    "memory_s": timing.memory_s,
+                    "fiber_s": timing.fiber_s,
+                    "atomic_s": timing.atomic_s,
+                    "cache_resident": timing.cache_resident,
+                }
+                host_seconds = (
+                    self._host_time(bundle, kernel, fmt)
+                    if self.config.measure_host
+                    else 0.0
+                )
         # Roofline attribution: explain this measurement against its bound
         # (rides in extra["roofline"] and therefore into run-store lines).
         attribution = attribute(self.roofline, cost, seconds, host_seconds)
         extra = dict(extra, roofline=attribution.as_dict())
-        if tracer is not None:
-            from repro.obs import analyze
-
-            trace = attach_to_trace(tracer.freeze(), attribution)
-            extra["obs"] = analyze(trace).as_dict()
         g = gflops(cost.flops, seconds)
         return PerfRecord(
             tensor=bundle.name,
@@ -502,81 +503,21 @@ class SuiteRunner:
         """
         cfg = self.config
         drag = _drag_seconds(kernel)
-        x = bundle.coo if fmt is Format.COO else bundle.hicoo
-        be = self.backend
-        if kernel is Kernel.TEW:
-            fn = (
-                (lambda: coo_tew(x, x, "add", be, assume_same_pattern=True))
-                if fmt is Format.COO
-                else (lambda: hicoo_tew(x, x, "add", be, assume_same_pattern=True))
-            )
-            return time_call(_with_drag(fn, drag), cfg.repeats, cfg.warmup).seconds
-        if kernel is Kernel.TS:
-            fn = (
-                (lambda: coo_ts(x, 1.5, "mul", be))
-                if fmt is Format.COO
-                else (lambda: hicoo_ts(x, 1.5, "mul", be))
-            )
-            return time_call(_with_drag(fn, drag), cfg.repeats, cfg.warmup).seconds
-        # Mode-oriented kernels: average over all modes (paper protocol).
-        times = []
-        for mode in range(bundle.coo.nmodes):
-            if kernel is Kernel.TTV:
-                v = bundle.vectors[mode]
-                fn = (
-                    (lambda: coo_ttv(bundle.coo, v, mode, be))
-                    if fmt is Format.COO
-                    else (lambda: hicoo_ttv(bundle.hicoo, v, mode, be))
-                )
-            elif kernel is Kernel.TTM:
-                u = bundle.matrices[mode]
-                fn = (
-                    (lambda: coo_ttm(bundle.coo, u, mode, be))
-                    if fmt is Format.COO
-                    else (lambda: hicoo_ttm(bundle.hicoo, u, mode, be))
-                )
-            elif kernel is Kernel.MTTKRP:
-                fn = (
-                    (lambda: coo_mttkrp(bundle.coo, bundle.matrices, mode, be))
-                    if fmt is Format.COO
-                    else (lambda: hicoo_mttkrp(bundle.hicoo, bundle.matrices, mode, be))
-                )
-            else:  # pragma: no cover - exhaustive above
-                raise ValueError(kernel)
-            times.append(time_call(_with_drag(fn, drag), cfg.repeats, cfg.warmup).seconds)
-        return mean_over_modes(times)
+        calls = protocol_calls(kernel, fmt, bundle, HOST_KERNELS[kernel], self.backend)
+        return mean_over_modes(
+            [time_call(_with_drag(call, drag), cfg.repeats, cfg.warmup).seconds for call in calls]
+        )
 
     def _gpu_time(
         self, bundle: TensorBundle, kernel: Kernel, fmt: Format
-    ) -> tuple[float, float, dict]:
-        """Simulated GPU time (mode-averaged), plus the host wall-clock of
-        the numeric execution embedded in the simulation."""
-        dev = self.device
-        x = bundle.coo if fmt is Format.COO else bundle.hicoo
-        host = 0.0
-        if kernel is Kernel.TEW:
-            res = gpu_tew(x, x, "add", dev, assume_same_pattern=True)
-            return res.seconds, host, dict(res.timing.notes, imbalance=res.timing.imbalance)
-        if kernel is Kernel.TS:
-            res = gpu_ts(x, 1.5, "mul", dev)
-            return res.seconds, host, dict(res.timing.notes, imbalance=res.timing.imbalance)
-        times, notes = [], {}
-        for mode in range(bundle.coo.nmodes):
-            if kernel is Kernel.TTV:
-                res = gpu_ttv(x, bundle.vectors[mode], mode, dev)
-            elif kernel is Kernel.TTM:
-                res = gpu_ttm(x, bundle.matrices[mode], mode, dev)
-            elif kernel is Kernel.MTTKRP:
-                res = (
-                    gpu_coo_mttkrp(x, bundle.matrices, mode, dev)
-                    if fmt is Format.COO
-                    else gpu_hicoo_mttkrp(x, bundle.matrices, mode, dev)
-                )
-            else:  # pragma: no cover - exhaustive above
-                raise ValueError(kernel)
+    ) -> tuple[float, dict]:
+        """Simulated GPU time averaged over the protocol's calls, and the
+        last call's cost-model notes."""
+        times = []
+        for call in protocol_calls(kernel, fmt, bundle, GPU_KERNELS[kernel], self.device):
+            res = call()
             times.append(res.seconds)
-            notes = dict(res.timing.notes, imbalance=res.timing.imbalance)
-        return mean_over_modes(times), host, notes
+        return mean_over_modes(times), dict(res.timing.notes, imbalance=res.timing.imbalance)
 
     # ------------------------------------------------------------------ #
     def run_dataset(

@@ -529,18 +529,7 @@ def _cmd_convert(args) -> int:
 def _cmd_trace(args) -> int:
     import numpy as np
 
-    from repro.kernels import (
-        coo_mttkrp,
-        coo_tew,
-        coo_ts,
-        coo_ttm,
-        coo_ttv,
-        hicoo_mttkrp,
-        hicoo_tew,
-        hicoo_ts,
-        hicoo_ttm,
-        hicoo_ttv,
-    )
+    from repro.bench.runner import HOST_KERNELS
     from repro.obs import (
         Tracer,
         analyze,
@@ -552,6 +541,7 @@ def _cmd_trace(args) -> int:
     )
     from repro.parallel import OpenMPBackend
     from repro.sptensor import HiCOOTensor, load_npz, read_tns
+    from repro.types import Format, Kernel
     from repro.util.prng import rng_from_seed
 
     if args.input:
@@ -574,34 +564,17 @@ def _cmd_trace(args) -> int:
     mats = [rng.random((s, args.rank)).astype(np.float32) for s in coo.shape]
     vec = rng.random(coo.shape[args.mode]).astype(np.float32)
 
+    # The suite's call for this kernel (tew: x + x on one pattern, ts:
+    # x * 1.5), in the one traced mode.
+    kernel = Kernel.coerce(args.kernel)
+    operand, mode, kw = {
+        Kernel.TEW: (x, "add", {"assume_same_pattern": True}),
+        Kernel.TS: (1.5, "mul", {}),
+        Kernel.TTV: (vec, args.mode, {"schedule": args.schedule}),
+        Kernel.TTM: (mats[args.mode], args.mode, {"schedule": args.schedule}),
+        Kernel.MTTKRP: (mats, args.mode, {"method": args.method}),
+    }[kernel]
     backend = OpenMPBackend(nthreads=args.nthreads)
-    kernels = {
-        "mttkrp": {
-            "coo": lambda be: coo_mttkrp(coo, mats, args.mode, be, method=args.method),
-            "hicoo": lambda be: hicoo_mttkrp(x, mats, args.mode, be, method=args.method),
-        },
-        "ttv": {
-            "coo": lambda be: coo_ttv(coo, vec, args.mode, be, schedule=args.schedule),
-            "hicoo": lambda be: hicoo_ttv(x, vec, args.mode, be, schedule=args.schedule),
-        },
-        "ttm": {
-            "coo": lambda be: coo_ttm(
-                coo, mats[args.mode], args.mode, be, schedule=args.schedule
-            ),
-            "hicoo": lambda be: hicoo_ttm(
-                x, mats[args.mode], args.mode, be, schedule=args.schedule
-            ),
-        },
-        "tew": {
-            "coo": lambda be: coo_tew(coo, coo, "add", be, assume_same_pattern=True),
-            "hicoo": lambda be: hicoo_tew(x, x, "add", be, assume_same_pattern=True),
-        },
-        "ts": {
-            "coo": lambda be: coo_ts(coo, 1.5, "mul", be),
-            "hicoo": lambda be: hicoo_ts(x, 1.5, "mul", be),
-        },
-    }
-    fn = kernels[args.kernel][args.fmt]
     tracer = Tracer(
         meta={
             "tensor": name,
@@ -614,7 +587,7 @@ def _cmd_trace(args) -> int:
     try:
         with tracer:
             for _ in range(args.repeats):
-                fn(backend)
+                HOST_KERNELS[kernel](x, operand, mode, backend, **kw)
     finally:
         backend.shutdown()
     trace = tracer.freeze()
@@ -625,7 +598,6 @@ def _cmd_trace(args) -> int:
     from repro.obs import CAT_KERNEL, attach_to_trace, attribute
     from repro.roofline import RooflineModel, get_platform
     from repro.roofline.oi import cost_for, extract_features
-    from repro.types import Format, Kernel
 
     attribution = None
     kernel_spans = trace.spans(CAT_KERNEL)
@@ -634,10 +606,7 @@ def _cmd_trace(args) -> int:
             coo, name, args.block_size,
             x if args.fmt == "hicoo" else None,
         )
-        cost = cost_for(
-            features, Kernel.coerce(args.kernel), Format.coerce(args.fmt),
-            args.rank,
-        )
+        cost = cost_for(features, kernel, Format.coerce(args.fmt), args.rank)
         host_s = sum(s.duration_s for s in kernel_spans) / len(kernel_spans)
         attribution = attribute(
             RooflineModel(get_platform(args.platform)), cost, host_s, host_s

@@ -121,6 +121,10 @@ class IngestConfig:
             raise IngestError("events and batch must be >= 1")
         if self.window < 1 or self.workers < 1 or self.queue_depth < 1:
             raise IngestError("window, workers and queue_depth must be >= 1")
+        if self.rank < 1:
+            raise IngestError(f"rank must be >= 1, got {self.rank}")
+        if self.query_every < 0 or self.worker_lifetime < 0:
+            raise IngestError("query_every and worker_lifetime must be >= 0")
         if not is_pow2(self.block_size) or not (1 <= self.block_size <= 256):
             raise IngestError(
                 f"block_size must be a power of two in [1, 256], "

@@ -1,9 +1,10 @@
 """The five benchmark kernels with format-polymorphic dispatchers.
 
 ``tew / ts / ttv / ttm / mttkrp`` accept COO or HiCOO tensors and route to
-the format-specific implementation; the ``coo_*`` / ``hicoo_*`` functions
-remain available for explicit use (the benchmark harness calls them
-directly so the format under test is never ambiguous).
+the format-specific implementation; the benchmark harness times them
+(``repro.bench.runner.HOST_KERNELS``) on the bundle's tensor of the format
+under test.  The ``coo_*`` / ``hicoo_*`` functions remain available for
+explicit use.
 """
 
 from __future__ import annotations

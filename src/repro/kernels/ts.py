@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.types import OpKind
 from repro.kernels.contract import Access, declares_output
+from repro.obs.tracer import CAT_KERNEL, current_tracer
 from repro.parallel.backend import Backend, get_backend
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.hicoo import HiCOOTensor
@@ -44,7 +45,9 @@ def scalar_values(
         ufunc(xv[lo:hi], s, out=out[lo:hi])
 
     # Chunks write disjoint slices of the value array by construction.
-    with backend.check_output(out, Access.DISJOINT):
+    with current_tracer().span(
+        "ts", cat=CAT_KERNEL, backend=backend.name, nnz=len(out)
+    ), backend.check_output(out, Access.DISJOINT):
         backend.parallel_for(len(out), body)
 
 

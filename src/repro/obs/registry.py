@@ -1,4 +1,4 @@
-"""Process-global, slot-aware metrics registry with Prometheus export.
+"""Process-global metrics registry with Prometheus export.
 
 Traces answer "what happened inside *this* kernel invocation" and hold
 spans only; every count and level lives here — monotonically growing
@@ -7,15 +7,9 @@ and can be scraped or dumped while a sweep is still running:
 
 * :class:`MetricsRegistry` — counters, gauges and histograms, each with
   a **label set** (``kernel="mttkrp", fmt="hicoo"``), Prometheus style.
-  Counter and histogram writes are **slot-aware**: each value is sharded
-  into per-worker cells keyed by the backend worker slot executing the
-  write (:func:`repro.parallel.slots.current_slot`), falling back to the
-  OS thread, so concurrent increments from the chunks of one backend
-  never contend on one cell; readers sum cells on export.  Slots are
-  unique only within one backend, so kernels write the registry from the
-  caller thread only, never from a chunk body (see :meth:`MetricsRegistry.inc`).
-  A gauge is a level, so it keeps one value per label set and the last
-  write wins.
+  Each label set holds one value, written under the registry lock, so
+  writes from any thread — a backend chunk body included — never lose
+  an update.  A gauge is a level: the last write wins.
 * exporters — :meth:`MetricsRegistry.render_prometheus` (text
   exposition format) and :meth:`MetricsRegistry.as_dict` (JSON), both
   deterministic (sorted names and label sets) so goldens can pin them.
@@ -30,31 +24,6 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
-
-# Lazy proxy, mirroring repro.obs.tracer: repro.parallel instruments
-# itself against repro.obs, so importing slots at module level would
-# close an import cycle.
-_current_slot = None
-
-
-def _slot():
-    global _current_slot
-    if _current_slot is None:
-        from repro.parallel.slots import current_slot as cs
-        _current_slot = cs
-    return _current_slot()
-
-
-def _cell_key() -> tuple:
-    slot = _slot()
-    if slot is not None:
-        return ("slot", int(slot))
-    return ("tid", threading.get_ident())
-
-
-#: The single cell of every gauge series: levels are not summed across
-#: workers, so a gauge set from several workers keeps the last write.
-_GAUGE_CELL = ("gauge",)
 
 
 def _label_key(labels: dict) -> tuple:
@@ -82,7 +51,7 @@ class MetricsError(ValueError):
 
 
 class _Metric:
-    """One named metric: kind, per-label-set per-cell values."""
+    """One named metric: kind, one value per label set."""
 
     __slots__ = ("name", "kind", "buckets", "series", "recent")
 
@@ -90,17 +59,16 @@ class _Metric:
         self.name = name
         self.kind = kind
         self.buckets = buckets
-        #: label_key -> cell_key -> value (counter/gauge) or
+        #: label_key -> value (counter/gauge) or
         #: ``[bucket_counts..., count, total]`` list (histogram).
-        self.series: dict[tuple, dict] = {}
+        self.series: dict[tuple, "float | list"] = {}
         #: label_key -> bounded deque of raw observations (histograms
-        #: only) feeding quantile summaries.  deque.append is atomic
-        #: under the GIL, so the hot path stays lock-free.
+        #: only) feeding quantile summaries.
         self.recent: dict[tuple, deque] = {}
 
 
 class MetricsRegistry:
-    """Labelled counters/gauges/histograms with lock-light hot paths."""
+    """Labelled counters/gauges/histograms; every write takes one lock."""
 
     def __init__(self):
         self._metrics: dict[str, _Metric] = {}
@@ -128,33 +96,20 @@ class MetricsRegistry:
             )
         return metric
 
-    def _cells(self, metric: _Metric, labels: dict) -> dict:
-        lk = _label_key(labels)
-        cells = metric.series.get(lk)
-        if cells is None:
-            with self._lock:
-                cells = metric.series.setdefault(lk, {})
-        return cells
-
-    # -- writes (hot path: no lock once the series exists) -------------- #
+    # -- writes (resolve the metric first: the lock is not re-entrant) -- #
     def inc(self, name: str, value: float = 1.0, **labels) -> None:
-        """Add ``value`` to the counter ``name`` for this label set.
-
-        Call it from the thread that issued a kernel, not from a backend
-        chunk body.  A chunk's write lands in the cell of its worker
-        slot, and slots are unique only within one backend: two backends
-        driven from two threads both lease slot 0, and their unlocked
-        read-modify-writes on that shared cell can lose increments.  Kernels
-        therefore count their work before or after their parallel region.
-        """
-        cells = self._cells(self._metric(name, COUNTER), labels)
-        key = _cell_key()
-        cells[key] = cells.get(key, 0.0) + float(value)
+        """Add ``value`` to the counter ``name`` for this label set."""
+        metric = self._metric(name, COUNTER)
+        lk = _label_key(labels)
+        with self._lock:
+            metric.series[lk] = metric.series.get(lk, 0.0) + float(value)
 
     def set_gauge(self, name: str, value: float, **labels) -> None:
         """Set the gauge for this label set; the last write wins."""
-        cells = self._cells(self._metric(name, GAUGE), labels)
-        cells[_GAUGE_CELL] = float(value)
+        metric = self._metric(name, GAUGE)
+        lk = _label_key(labels)
+        with self._lock:
+            metric.series[lk] = float(value)
 
     def observe(self, name: str, value: float, buckets=None, **labels) -> None:
         """Record one observation into the histogram ``name``.
@@ -163,27 +118,29 @@ class MetricsRegistry:
         effect on the histogram's first use.
         """
         metric = self._metric(name, HISTOGRAM, buckets)
-        cells = self._cells(metric, labels)
-        key = _cell_key()
-        cell = cells.get(key)
-        if cell is None:
-            # bucket counts + [count, sum] tail.
-            cell = cells[key] = [0] * len(metric.buckets) + [0, 0.0]
-        value = float(value)
-        for i, bound in enumerate(metric.buckets):
-            if value <= bound:
-                cell[i] += 1
-                break
-        cell[-2] += 1
-        cell[-1] += value
         lk = _label_key(labels)
-        recent = metric.recent.get(lk)
-        if recent is None:
-            with self._lock:
-                recent = metric.recent.setdefault(
-                    lk, deque(maxlen=RECENT_WINDOW)
-                )
-        recent.append(value)
+        value = float(value)
+        bucket = next(
+            (i for i, bound in enumerate(metric.buckets) if value <= bound), None
+        )
+        with self._lock:
+            cell = self._histogram_cell(metric, lk)
+            if bucket is not None:
+                cell[bucket] += 1
+            cell[-2] += 1
+            cell[-1] += value
+            recent = metric.recent.get(lk)
+            if recent is None:
+                recent = metric.recent[lk] = deque(maxlen=RECENT_WINDOW)
+            recent.append(value)
+
+    @staticmethod
+    def _histogram_cell(metric: _Metric, lk: tuple) -> list:
+        """The label set's ``[bucket counts..., count, sum]`` (lock held)."""
+        cell = metric.series.get(lk)
+        if cell is None:
+            cell = metric.series[lk] = [0] * len(metric.buckets) + [0, 0.0]
+        return cell
 
     # -- cross-process ingestion --------------------------------------- #
     def absorb_dict(self, dump: dict, **labels) -> None:
@@ -216,52 +173,42 @@ class MetricsRegistry:
             float(le) for le in buckets if le != "+Inf"
         )
         metric = self._metric(name, HISTOGRAM, bounds or None)
-        merged = {**(snap.get("labels") or {}), **extra_labels}
-        cells = self._cells(metric, merged)
-        key = _cell_key()
-        cell = cells.get(key)
-        if cell is None:
-            cell = cells[key] = [0] * len(metric.buckets) + [0, 0.0]
+        lk = _label_key({**(snap.get("labels") or {}), **extra_labels})
         # De-cumulate the exported bucket counts back into per-bucket
         # increments; bounds absent from the dump contribute nothing.
-        previous = 0
+        increments, previous = [], 0
         for i, bound in enumerate(metric.buckets):
             cumulative = buckets.get(_le(bound))
             if cumulative is None:
                 continue
-            cell[i] += int(cumulative) - previous
+            increments.append((i, int(cumulative) - previous))
             previous = int(cumulative)
-        cell[-2] += int(snap.get("count", 0))
-        cell[-1] += float(snap.get("sum", 0.0))
+        with self._lock:
+            cell = self._histogram_cell(metric, lk)
+            for i, n in increments:
+                cell[i] += n
+            cell[-2] += int(snap.get("count", 0))
+            cell[-1] += float(snap.get("sum", 0.0))
 
     # -- reads --------------------------------------------------------- #
-    def _aggregate(self, metric: _Metric) -> dict:
-        """label_key -> aggregated value, cells folded under the lock."""
-        out = {}
+    def _snapshot(self, metric: _Metric) -> dict:
+        """label_key -> value, copied under the lock."""
         with self._lock:
-            series = {lk: dict(cells) for lk, cells in metric.series.items()}
-        for lk, cells in series.items():
             if metric.kind == HISTOGRAM:
-                agg = [0] * (len(metric.buckets) + 1) + [0.0]
-                for cell in cells.values():
-                    for i, v in enumerate(cell):
-                        agg[i] += v
-                out[lk] = agg
-            else:  # counter: sum of per-worker cells; gauge: its one cell
-                out[lk] = float(sum(cells.values()))
-        return out
+                return {lk: list(cell) for lk, cell in metric.series.items()}
+            return dict(metric.series)
 
     def counter_value(self, name: str, **labels) -> float:
         metric = self._metrics.get(name)
         if metric is None:
             return 0.0
-        return self._aggregate(metric).get(_label_key(labels), 0.0)
+        return self._snapshot(metric).get(_label_key(labels), 0.0)
 
     def gauge_value(self, name: str, **labels) -> float:
         metric = self._metrics.get(name)
         if metric is None:
             return 0.0
-        return self._aggregate(metric).get(_label_key(labels), 0.0)
+        return self._snapshot(metric).get(_label_key(labels), 0.0)
 
     def counter_totals(self, prefix: "str | None" = None) -> dict:
         """``name -> total`` for counters, summed across label sets.
@@ -278,7 +225,7 @@ class MetricsRegistry:
                 continue
             if prefix and not name.startswith(prefix):
                 continue
-            out[name] = float(sum(self._aggregate(metric).values()))
+            out[name] = float(sum(self._snapshot(metric).values()))
         return out
 
     def histogram_snapshot(self, name: str, **labels) -> dict:
@@ -286,7 +233,7 @@ class MetricsRegistry:
         metric = self._metrics.get(name)
         if metric is None or metric.kind != HISTOGRAM:
             return {"count": 0, "sum": 0.0, "buckets": {}}
-        agg = self._aggregate(metric).get(_label_key(labels))
+        agg = self._snapshot(metric).get(_label_key(labels))
         if agg is None:
             return {"count": 0, "sum": 0.0, "buckets": {}}
         buckets, cumulative = {}, 0
@@ -331,7 +278,7 @@ class MetricsRegistry:
             metrics = dict(self._metrics)
         for name in sorted(metrics):
             metric = metrics[name]
-            agg = self._aggregate(metric)
+            agg = self._snapshot(metric)
             series = []
             for lk in sorted(agg):
                 labels = dict(lk)
@@ -356,7 +303,7 @@ class MetricsRegistry:
             metric = metrics[name]
             pname = _prom_name(name)
             lines.append(f"# TYPE {pname} {metric.kind}")
-            agg = self._aggregate(metric)
+            agg = self._snapshot(metric)
             qlines = []
             for lk in sorted(agg):
                 labels = dict(lk)

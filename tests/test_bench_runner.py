@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bench import (
+    ALL_KERNELS,
     Report,
     RunnerConfig,
     SuiteRunner,
@@ -16,6 +17,15 @@ from repro.bench import (
     table2,
     table3,
     table4,
+)
+from repro.bench.runner import protocol_calls
+from repro.gpu import (
+    gpu_coo_mttkrp,
+    gpu_hicoo_mttkrp,
+    gpu_tew,
+    gpu_ts,
+    gpu_ttm,
+    gpu_ttv,
 )
 from repro.roofline import BLUESKY, DGX_1V, get_platform
 from repro.sptensor import COOTensor
@@ -151,6 +161,66 @@ class TestSeeding:
         for got, want in zip(bundle.vectors, vectors):
             np.testing.assert_array_equal(got, want)
         assert bundle.nbytes == bare + sum(a.nbytes for a in vectors + matrices)
+
+
+def _same(got, want) -> bool:
+    """Scalars compare by value; tensors and operands must be the very
+    objects the bundle holds."""
+    if isinstance(want, (str, int, float)):
+        return got == want
+    return got is want
+
+
+CELLS = [(k, f) for k in ALL_KERNELS for f in (Format.COO, Format.HICOO)]
+
+
+class TestProtocol:
+    @pytest.mark.parametrize("kernel,fmt", CELLS)
+    def test_calls_follow_the_paper_protocol(self, tensor, kernel, fmt):
+        bundle = TensorBundle.prepare("p", tensor, RunnerConfig(rank=4))
+        seen = []
+        calls = protocol_calls(
+            kernel, fmt, bundle, lambda *a, **kw: seen.append((a, kw)), "target"
+        )
+        for call in calls:
+            call()
+        x = bundle.coo if fmt is Format.COO else bundle.hicoo
+        modes = range(tensor.nmodes)
+        expected = {
+            Kernel.TEW: [((x, x, "add", "target"), {"assume_same_pattern": True})],
+            Kernel.TS: [((x, 1.5, "mul", "target"), {})],
+            Kernel.TTV: [((x, bundle.vectors[m], m, "target"), {}) for m in modes],
+            Kernel.TTM: [((x, bundle.matrices[m], m, "target"), {}) for m in modes],
+            Kernel.MTTKRP: [((x, bundle.matrices, m, "target"), {}) for m in modes],
+        }[kernel]
+        assert len(seen) == len(expected)
+        for (args, kw), (want_args, want_kw) in zip(seen, expected):
+            assert kw == want_kw
+            assert len(args) == len(want_args)
+            assert all(_same(a, b) for a, b in zip(args, want_args))
+
+    @pytest.mark.parametrize("kernel,fmt", CELLS)
+    def test_gpu_record_equals_direct_simulation(self, gpu_runner, tensor, kernel, fmt):
+        bundle = TensorBundle.prepare("g", tensor, gpu_runner.config)
+        record = gpu_runner.run_kernel(bundle, kernel, fmt)
+        dev = gpu_runner.device
+        x = bundle.coo if fmt is Format.COO else bundle.hicoo
+        modes = range(tensor.nmodes)
+        if kernel is Kernel.TEW:
+            results = [gpu_tew(x, x, "add", dev, assume_same_pattern=True)]
+        elif kernel is Kernel.TS:
+            results = [gpu_ts(x, 1.5, "mul", dev)]
+        elif kernel is Kernel.TTV:
+            results = [gpu_ttv(x, bundle.vectors[m], m, dev) for m in modes]
+        elif kernel is Kernel.TTM:
+            results = [gpu_ttm(x, bundle.matrices[m], m, dev) for m in modes]
+        else:
+            mttkrp = gpu_coo_mttkrp if fmt is Format.COO else gpu_hicoo_mttkrp
+            results = [mttkrp(x, bundle.matrices, m, dev) for m in modes]
+        assert record.seconds == float(np.mean([r.seconds for r in results]))
+        last = results[-1].timing
+        notes = {k: v for k, v in record.extra.items() if k != "roofline"}
+        assert notes == dict(last.notes, imbalance=last.imbalance)
 
 
 class TestReports:

@@ -124,6 +124,14 @@ class TestEnumeration:
             ExecutorConfig(retries=-1)
         with pytest.raises(ExecutorError):
             ExecutorConfig(workers=0)
+        for bad in (
+            {"timeout_s": 0},
+            {"timeout_s": -1.0},
+            {"backoff_base_s": -0.05},
+            {"backoff_max_s": -1.0},
+        ):
+            with pytest.raises(ExecutorError):
+                ExecutorConfig(**bad)
 
 
 class TestFaultMatching:

@@ -50,6 +50,13 @@ class TestIngestConfig:
             IngestConfig(workers=0)
         with pytest.raises(IngestError):
             IngestConfig(block_size=3)
+        for bad in (
+            {"query_every": -1},
+            {"worker_lifetime": -2},
+            {"rank": 0},
+        ):
+            with pytest.raises(IngestError):
+                IngestConfig(**bad)
 
     def test_fingerprint_stable_and_fault_insensitive(self):
         a = small_config()

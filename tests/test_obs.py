@@ -1,6 +1,7 @@
 """Tests for the span tracer, analytics and exporters (repro.obs)."""
 
 import json
+import sys
 import threading
 
 import numpy as np
@@ -158,7 +159,7 @@ class TestConcurrentBuffers:
         assert [r.name for r in regions] == ["parallel_for"]
         assert regions[0].attrs["schedule"] == "dynamic"
 
-    def test_per_slot_buffer_counters_stay_separate(self, registry):
+    def test_chunk_body_counters_sum_exactly(self, registry):
         backend = OpenMPBackend(nthreads=2)
 
         def body(lo, hi):
@@ -169,9 +170,37 @@ class TestConcurrentBuffers:
         finally:
             backend.shutdown()
         assert registry.counter_value("iters") == 100.0
-        # Backend chunks write slot-keyed cells, never the caller thread's.
-        (cells,) = registry._metrics["iters"].series.values()
-        assert cells and all(key[0] == "slot" for key in cells)
+        assert registry.as_dict()["counters"]["iters"] == [
+            {"labels": {}, "value": 100.0}
+        ]
+
+    def test_two_backends_from_two_threads_lose_no_increment(self, registry):
+        # Both backends lease worker slots 0 and 1, so their chunk bodies
+        # run concurrently under the same slot numbers; a tiny switch
+        # interval forces preemption inside every unlocked update.
+        n = 20_000
+        backends = [OpenMPBackend(nthreads=2) for _ in range(2)]
+
+        def body(lo, hi):
+            for _ in range(lo, hi):
+                registry.inc("iters")
+
+        def drive(be):
+            be.parallel_for(n, body, schedule="dynamic", chunk=500)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=drive, args=(be,)) for be in backends]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+            for be in backends:
+                be.shutdown()
+        assert registry.counter_value("iters") == 2 * n
 
 
 class TestAnalytics:
@@ -315,16 +344,25 @@ class TestKernelIntegration:
             3.0 * x.nnz * 4
         )
 
-    def test_kernels_write_registry_from_caller_thread_only(self, registry):
-        # Slots are unique only within one backend, so no chunk body may
-        # write the registry: every cell must be keyed by the caller's OS
-        # thread, never by a worker slot, on every kernel x format.
-        from repro.kernels import (
-            coo_mttkrp, coo_tew, coo_ts, coo_ttm, coo_ttv,
-            hicoo_mttkrp, hicoo_tew, hicoo_ts, hicoo_ttm, hicoo_ttv,
-        )
+    def test_kernels_write_registry_from_caller_thread_only(self, registry, monkeypatch):
+        # Kernels count their work before or after their parallel region,
+        # so every registry write of every kernel x format comes from the
+        # thread that issued the kernel, under OpenMP and churn alike.
+        from repro.kernels import mttkrp, tew, ts, ttm, ttv
+        from repro.obs.registry import MetricsRegistry
         from repro.parallel import ChaosBackend
         from repro.sptensor import COOTensor, HiCOOTensor
+
+        writers = set()
+        for name in ("inc", "observe", "set_gauge"):
+            raw = getattr(MetricsRegistry, name)
+
+            def spy(self, *a, _raw=raw, **k):
+                if self is registry:
+                    writers.add(threading.get_ident())
+                return _raw(self, *a, **k)
+
+            monkeypatch.setattr(MetricsRegistry, name, spy)
 
         x = COOTensor.random((30, 20, 10), nnz=600, rng=4).sort()
         h = HiCOOTensor.from_coo(x, 4)
@@ -336,10 +374,7 @@ class TestKernelIntegration:
         ]
         try:
             for be in backends:
-                for t, mttkrp, ttv, ttm, tew, ts in (
-                    (x, coo_mttkrp, coo_ttv, coo_ttm, coo_tew, coo_ts),
-                    (h, hicoo_mttkrp, hicoo_ttv, hicoo_ttm, hicoo_tew, hicoo_ts),
-                ):
+                for t in (x, h):
                     for mode in range(3):
                         for method in ("atomic", "sort", "owner"):
                             mttkrp(t, mats, mode, be, method=method)
@@ -352,13 +387,7 @@ class TestKernelIntegration:
                 be.shutdown()
         assert registry.counter_value("kernel.nnz_processed") > 0
         assert registry.counter_totals("plan.")["plan.builds"] > 0
-        keys = [
-            key
-            for metric in registry._metrics.values()
-            for cells in metric.series.values()
-            for key in cells
-        ]
-        assert keys and not any(key[0] == "slot" for key in keys)
+        assert writers == {threading.get_ident()}
 
     def test_disabled_tracer_records_nothing(self):
         from repro.generate import powerlaw_tensor
@@ -390,25 +419,3 @@ class TestKernelIntegration:
         assert launches and all(e.instant for e in launches)
         assert registry.counter_value("gpu.launches") == len(launches)
         assert registry.counter_value("gpu.atomics_issued") > 0
-
-
-class TestRunnerTrace:
-    def test_runner_attaches_obs_analytics(self, registry):
-        from repro.bench.runner import RunnerConfig, SuiteRunner
-        from repro.generate import powerlaw_tensor
-        from repro.roofline import PLATFORMS
-        from repro.types import Format, Kernel
-
-        cpu = next(p for p in PLATFORMS if not p.is_gpu)
-        cfg = RunnerConfig(
-            trace=True, repeats=1, warmup=0,
-            kernels=(Kernel.TTV,), formats=(Format.COO,),
-        )
-        x = powerlaw_tensor((60, 50, 8), nnz=1000, seed=3)
-        (rec,) = SuiteRunner(cpu, cfg).run_tensor("t", x)
-        obs = rec.extra["obs"]
-        assert obs["imbalance"] >= 1.0
-        assert 0.0 <= obs["busy_frac"] <= 1.0
-        assert "counters" not in obs
-        assert registry.counter_value("kernel.nnz_processed") > 0
-        assert current_tracer() is NULL_TRACER

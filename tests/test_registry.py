@@ -1,4 +1,4 @@
-"""Tests for the slot-aware metrics registry (repro.obs.registry)."""
+"""Tests for the metrics registry (repro.obs.registry)."""
 
 import json
 import threading
