@@ -1,8 +1,10 @@
 """Hot-path harness: kernel × format × method × backend wall-clock.
 
 Times the scatter-add kernels (Mttkrp on COO/HiCOO) across update methods
-(``atomic``, ``sort``, ``owner``) and backends, and the fiber-parallel
-kernels (Ttv/Ttm) across fiber partitions, and writes
+(``atomic``, ``sort``, ``owner``) and backends, the fiber-parallel
+kernels (Ttv/Ttm) across fiber partitions, and tensor generation (the
+choa and vast surrogates and the regM Table 3 tensor, ``kernel:
+"generate"`` rows tagged with the tensor name), and writes
 ``BENCH_kernels.json`` at the repo root.  The JSON is committed so every
 PR has a perf trajectory to compare against:
 
@@ -36,7 +38,8 @@ import time
 
 import numpy as np
 
-from repro.generate import powerlaw_tensor
+from repro.datasets import make_surrogate
+from repro.generate import get_synthetic, powerlaw_tensor
 from repro.kernels import coo_mttkrp, coo_ttm, coo_ttv, hicoo_mttkrp
 from repro.obs import Tracer, analyze, chrome_trace
 from repro.obs.attribution import attribute
@@ -148,6 +151,17 @@ def run(quick: bool, nthreads: int, reps: int, trace_path: str | None = None) ->
         record("ttm", "coo", "openmp", nthreads,
                lambda p=partition: coo_ttm(x, u, 1, omp, partition=p),
                partition=partition)
+
+    # --- Generation: the resample loop behind every synthetic tensor --- #
+    for name, make in (
+        ("choa", lambda: make_surrogate("choa")),
+        ("vast", lambda: make_surrogate("vast")),
+        ("regM", lambda: get_synthetic("regM").generate()),
+    ):
+        results.append({"kernel": "generate", "format": "coo",
+                        "backend": "sequential", "nthreads": 1,
+                        "tensor": name, **_time(make, reps),
+                        "host_cpus": HOST_CPUS, "oversubscribed": False})
 
     # --- Invariant checks (recorded, and asserted below) --------------- #
     ref = coo_mttkrp(x, mats, 0, seq)

@@ -48,6 +48,7 @@ from repro.bench.runner import (
     enumerate_cases,
 )
 from repro.bench.runstore import RunStore
+from repro.errors import ReproError
 from repro.metrics.perf import PerfRecord
 from repro.obs.context import (
     TraceContext,
@@ -70,7 +71,7 @@ FAIL_CRASH = "crash"      # the worker died without a verdict
 ISOLATION_MODES = ("process", "inline")
 
 
-class ExecutorError(RuntimeError):
+class ExecutorError(ReproError, RuntimeError):
     """Misconfiguration of the sweep executor (not a case failure)."""
 
 

@@ -15,7 +15,8 @@ Both timed paths apply one protocol (:func:`protocol_calls`, paper
 Sec. 5.1.2) through one kernel table per target: Tew adds the tensor to
 itself on one pattern, Ts scales it by 1.5, and Ttv/Ttm/Mttkrp run once
 per mode and are averaged.  :data:`HOST_KERNELS` runs the calls on a
-backend, :data:`GPU_KERNELS` simulates them on a device.
+backend, :data:`GPU_KERNELS` simulates their launches on a device
+(structure and operand shapes only; no kernel runs).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -59,13 +60,15 @@ HOST_KERNELS = {
     Kernel.MTTKRP: kernels.mttkrp,
 }
 
-#: The format-polymorphic GPU simulations; target: a device.
+#: The format-polymorphic GPU launch models; target: a device.  They
+#: read the tensor's structure and the operands' shapes, run no kernel,
+#: and give the timing of the matching ``repro.gpu.gpu_*`` launch.
 GPU_KERNELS = {
-    Kernel.TEW: gpu.gpu_tew,
-    Kernel.TS: gpu.gpu_ts,
-    Kernel.TTV: gpu.gpu_ttv,
-    Kernel.TTM: gpu.gpu_ttm,
-    Kernel.MTTKRP: gpu.gpu_mttkrp,
+    Kernel.TEW: gpu.tew_timing,
+    Kernel.TS: gpu.ts_timing,
+    Kernel.TTV: gpu.ttv_timing,
+    Kernel.TTM: gpu.ttm_timing,
+    Kernel.MTTKRP: gpu.mttkrp_timing,
 }
 
 #: ``"kernel:seconds,kernel:seconds"`` — injects a per-call sleep into the
@@ -170,9 +173,10 @@ class TensorBundle:
 
     The random Ttv/Ttm/Mttkrp operands (:attr:`vectors`,
     :attr:`matrices`) are drawn on first use: a modeled CPU case reads
-    only :attr:`features`, and for a tensor with a long mode the factor
-    matrices outweigh the tensor itself.  Drawing them later draws the
-    same values.
+    only :attr:`features`, a simulated GPU case only the operands'
+    shapes (:meth:`shapes_only`), and for a tensor with a long mode the
+    factor matrices outweigh the tensor itself.  Drawing them later draws
+    the same values.
     """
 
     name: str
@@ -219,6 +223,16 @@ class TensorBundle:
         if self._operands is not None:
             arrays += self._operands[0] + self._operands[1]
         return sum(a.nbytes for a in arrays) + coo.cache_nbytes + hicoo.cache_nbytes
+
+    def shapes_only(self) -> "TensorBundle":
+        """This bundle with all-zero, zero-stride stand-ins for the
+        operands: the right shapes, no memory and no RNG draw.  Enough for
+        a launch model, which reads operand shapes and never values."""
+        vectors = [np.broadcast_to(np.float32(0), (s,)) for s in self.coo.shape]
+        matrices = [
+            np.broadcast_to(np.float32(0), (s, self.rank)) for s in self.coo.shape
+        ]
+        return replace(self, _operands=(vectors, matrices))
 
     def _draw_operands(self) -> tuple:
         if self._operands is None:
@@ -513,11 +527,16 @@ class SuiteRunner:
     ) -> tuple[float, dict]:
         """Simulated GPU time averaged over the protocol's calls, and the
         last call's cost-model notes."""
-        times = []
-        for call in protocol_calls(kernel, fmt, bundle, GPU_KERNELS[kernel], self.device):
-            res = call()
-            times.append(res.seconds)
-        return mean_over_modes(times), dict(res.timing.notes, imbalance=res.timing.imbalance)
+        timings = [
+            call() for call in protocol_calls(
+                kernel, fmt, bundle.shapes_only(), GPU_KERNELS[kernel], self.device
+            )
+        ]
+        last = timings[-1]
+        return (
+            mean_over_modes([t.total_s for t in timings]),
+            dict(last.notes, imbalance=last.imbalance),
+        )
 
     # ------------------------------------------------------------------ #
     def run_dataset(

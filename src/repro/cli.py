@@ -53,6 +53,7 @@ import argparse
 import os
 import sys
 
+from repro.errors import ReproError
 from repro.obs.log import get_logger
 
 _LOG = get_logger("repro.cli")
@@ -1227,7 +1228,12 @@ def main(argv=None) -> int:
             parser.error("--shape and --nnz are required for kron/pl generation")
     if args.command == "generate" and args.kind in ("table2", "table3") and not args.name:
         parser.error("--name is required for table2/table3 generation")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        # A misconfiguration or a suite-level failure: one line, no stack.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

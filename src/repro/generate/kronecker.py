@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import GenerationError
+from repro.generate.resample import distinct_coords
 from repro.types import VALUE_DTYPE
 from repro.sptensor.coo import COOTensor
 from repro.util.prng import rng_from_seed
@@ -95,6 +96,11 @@ def kronecker_tensor(
     max_rounds:
         Abort threshold for the resample loop (hit only when ``nnz``
         approaches the tensor capacity and collisions dominate).
+
+    Distinct coordinates come from :func:`repro.generate.resample.distinct_coords`.
+    Coordinates and values are bit-identical to those of the row-wise
+    ``np.unique(axis=0)`` resample loop it replaced (same RNG stream), so
+    tensors, goldens and fingerprints pinned to a seed still hold.
     """
     shape = tuple(int(s) for s in shape)
     order = len(shape)
@@ -114,27 +120,20 @@ def kronecker_tensor(
     iterations = max(1, math.ceil(math.log(max(shape), dim)))
     rng = rng_from_seed(seed)
 
-    collected = np.empty((0, order), dtype=np.int64)
     shape_arr = np.asarray(shape, dtype=np.int64)
-    for _ in range(max_rounds):
-        need = nnz - collected.shape[0]
-        if need <= 0:
-            break
-        draw = max(need + 16, int(need * 1.3))
-        coords = _sample_coords(initiator, iterations, draw, rng)
+
+    def draw(count: int) -> tuple:
+        coords = _sample_coords(initiator, iterations, count, rng)
         # Strip coordinates falling outside the requested shape.
-        keep = (coords < shape_arr).all(axis=1)
-        coords = coords[keep]
-        collected = np.unique(
-            np.concatenate([collected, coords], axis=0), axis=0
-        )
-    if collected.shape[0] < nnz:
-        raise GenerationError(
+        return tuple(coords[(coords < shape_arr).all(axis=1)].T)
+
+    coords = distinct_coords(
+        shape, nnz, draw, rng, max_rounds,
+        lambda got: (
             f"could not realize {nnz} distinct non-zeros in shape {shape} "
-            f"after {max_rounds} rounds (got {collected.shape[0]}); the "
+            f"after {max_rounds} rounds (got {got}); the "
             "initiator may be too concentrated for this density"
-        )
-    perm = rng.permutation(collected.shape[0])[:nnz]
-    coords = collected[perm]
+        ),
+    )
     values = (rng.random(nnz) + 0.5).astype(dtype)
     return COOTensor(shape, coords, values, copy=False, check=False)

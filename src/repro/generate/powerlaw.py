@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import GenerationError
+from repro.generate.resample import distinct_coords
 from repro.types import VALUE_DTYPE
 from repro.sptensor.coo import COOTensor
 from repro.util.prng import rng_from_seed
@@ -72,6 +73,11 @@ def powerlaw_tensor(
         tensors.  All other modes draw from the biased power law.
     alpha:
         Power-law exponent (> 1); 2-2.5 matches real-world graphs.
+
+    Distinct coordinates come from :func:`repro.generate.resample.distinct_coords`.
+    Coordinates and values are bit-identical to those of the row-wise
+    ``np.unique(axis=0)`` resample loop it replaced (same RNG stream), so
+    tensors, goldens and fingerprints pinned to a seed still hold.
     """
     shape = tuple(int(s) for s in shape)
     order = len(shape)
@@ -83,30 +89,21 @@ def powerlaw_tensor(
     if nnz > capacity:
         raise GenerationError(f"cannot place {nnz} non-zeros in shape {shape}")
 
-    collected = np.empty((0, order), dtype=np.int64)
-    for _ in range(max_rounds):
-        need = nnz - collected.shape[0]
-        if need <= 0:
-            break
-        draw = max(need + 16, int(need * 1.3))
-        cols = []
-        for m in range(order):
-            if m in dense:
-                cols.append(rng.integers(0, shape[m], size=draw))
-            else:
-                cols.append(powerlaw_indices(draw, shape[m], alpha, rng))
-        coords = np.stack(cols, axis=1)
-        collected = np.unique(
-            np.concatenate([collected, coords], axis=0), axis=0
-        )
-    if collected.shape[0] < nnz:
-        raise GenerationError(
+    def draw(count: int) -> list:
+        return [
+            rng.integers(0, shape[m], size=count) if m in dense
+            else powerlaw_indices(count, shape[m], alpha, rng)
+            for m in range(order)
+        ]
+
+    coords = distinct_coords(
+        shape, nnz, draw, rng, max_rounds,
+        lambda got: (
             f"could not realize {nnz} distinct non-zeros in shape {shape}: "
             f"power-law hubs saturated after {max_rounds} rounds "
-            f"(got {collected.shape[0]}); lower alpha or nnz"
-        )
-    perm = rng.permutation(collected.shape[0])[:nnz]
-    coords = collected[perm]
+            f"(got {got}); lower alpha or nnz"
+        ),
+    )
     values = (rng.random(nnz) + 0.5).astype(dtype)
     return COOTensor(shape, coords, values, copy=False, check=False)
 

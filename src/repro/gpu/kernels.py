@@ -12,7 +12,10 @@ describes for CUDA (Sec. 3.2.2 / 3.4.2):
   distribution is lost, atomics stay (the paper's Observation 4 case).
 
 The returned :class:`GpuRunResult` carries both the numeric value and a
-:class:`~repro.gpu.costmodel.KernelTiming` breakdown.
+:class:`~repro.gpu.costmodel.KernelTiming` breakdown.  The launch model
+reads only the tensor's structure and the operands' shapes, never their
+values, so each kernel's ``*_timing`` function gives the same timing
+without running the kernel; the suite runner calls those.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.errors import PatternMismatchError
 from repro.types import OpKind
 from repro.obs.registry import get_metrics
 from repro.kernels.mttkrp import coo_mttkrp, hicoo_mttkrp
@@ -39,6 +43,7 @@ from repro.gpu.costmodel import (
 from repro.gpu.device import DeviceSpec
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.hicoo import HiCOOTensor
+from repro.util.validation import check_same_shape
 
 
 @dataclass(frozen=True)
@@ -102,62 +107,88 @@ def _fiber_block_bytes(
 # --------------------------------------------------------------------- #
 # Tew / Ts
 # --------------------------------------------------------------------- #
-def gpu_tew(x, y, op: "OpKind | str", device: DeviceSpec, **kw) -> GpuRunResult:
-    """COO/HiCOO-Tew-GPU: non-zero parallel, 12 bytes per output entry."""
-    if isinstance(x, HiCOOTensor):
-        value = hicoo_tew(x, y, op, **kw)
-        out_nnz = value.nnz
-    else:
-        value = coo_tew(x, y, op, **kw)
-        out_nnz = value.nnz
+def _tew_launch(out_nnz: int, device: DeviceSpec) -> KernelTiming:
     blocks = _block_sizes(out_nnz, device.threads_per_block) * 12.0
     mem_s, imb, bw, res = memory_time(device, blocks, working_set_bytes=12.0 * out_nnz)
-    return GpuRunResult(value, combine(device, mem_s, imb, bw, res, len(blocks)))
+    return combine(device, mem_s, imb, bw, res, len(blocks))
+
+
+def _tew_value(x, y, op, kw: dict):
+    if isinstance(x, HiCOOTensor):
+        return hicoo_tew(x, y, op, **kw)
+    return coo_tew(x, y, op, **kw)
+
+
+def tew_timing(x, y, op: "OpKind | str", device: DeviceSpec, **kw) -> KernelTiming:
+    """COO/HiCOO-Tew-GPU launch: non-zero parallel, 12 bytes per output
+    entry.  On one pattern (``assume_same_pattern``, the paper's case)
+    the output has ``x.nnz`` entries; otherwise the merge is run to
+    count them.  Inputs are checked as :func:`gpu_tew` checks them."""
+    if not kw.get("assume_same_pattern"):
+        return _tew_launch(_tew_value(x, y, op, kw).nnz, device)
+    check_same_shape(x, y)
+    if x.nnz != y.nnz:
+        raise PatternMismatchError(
+            f"same-pattern Tew requires equal nnz: {x.nnz} vs {y.nnz}"
+        )
+    return _tew_launch(x.nnz, device)
+
+
+def gpu_tew(x, y, op: "OpKind | str", device: DeviceSpec, **kw) -> GpuRunResult:
+    """COO/HiCOO-Tew-GPU: non-zero parallel, 12 bytes per output entry."""
+    value = _tew_value(x, y, op, kw)
+    return GpuRunResult(value, _tew_launch(value.nnz, device))
+
+
+def ts_timing(x, s: float, op: "OpKind | str", device: DeviceSpec, **kw) -> KernelTiming:
+    """COO/HiCOO-Ts-GPU launch: non-zero parallel, 8 bytes per entry."""
+    blocks = _block_sizes(x.nnz, device.threads_per_block) * 8.0
+    mem_s, imb, bw, res = memory_time(device, blocks, working_set_bytes=8.0 * x.nnz)
+    return combine(device, mem_s, imb, bw, res, len(blocks))
 
 
 def gpu_ts(x, s: float, op: "OpKind | str", device: DeviceSpec, **kw) -> GpuRunResult:
     """COO/HiCOO-Ts-GPU: non-zero parallel, 8 bytes per entry."""
     value = hicoo_ts(x, s, op, **kw) if isinstance(x, HiCOOTensor) else coo_ts(x, s, op, **kw)
-    blocks = _block_sizes(x.nnz, device.threads_per_block) * 8.0
-    mem_s, imb, bw, res = memory_time(device, blocks, working_set_bytes=8.0 * x.nnz)
-    return GpuRunResult(value, combine(device, mem_s, imb, bw, res, len(blocks)))
+    return GpuRunResult(value, ts_timing(x, s, op, device))
 
 
 # --------------------------------------------------------------------- #
 # Ttv
 # --------------------------------------------------------------------- #
-def gpu_ttv(x, v: np.ndarray, mode: int, device: DeviceSpec, **kw) -> GpuRunResult:
-    """COO/HiCOO-Ttv-GPU: one thread per fiber; unbalanced fiber lengths
-    make some thread blocks stragglers (paper Sec. 3.2.2)."""
+def ttv_timing(x, v: np.ndarray, mode: int, device: DeviceSpec, **kw) -> KernelTiming:
+    """COO/HiCOO-Ttv-GPU launch: one thread per fiber; unbalanced fiber
+    lengths make some thread blocks stragglers (paper Sec. 3.2.2)."""
     coo = x.to_coo() if isinstance(x, HiCOOTensor) else x
     lengths = coo.fiber_index(mode).fiber_lengths()
-    value = (
-        hicoo_ttv(x, v, mode, **kw)
-        if isinstance(x, HiCOOTensor)
-        else coo_ttv(x, v, mode, **kw)
-    )
     blocks = _fiber_block_bytes(
         lengths, device.threads_per_block, 12.0, 12.0, warp=32
     )
     ws = 12.0 * coo.nnz + 12.0 * len(lengths) + 4.0 * coo.shape[mode]
     mem_s, imb, bw, res = memory_time(device, blocks, working_set_bytes=ws)
-    return GpuRunResult(value, combine(device, mem_s, imb, bw, res, len(blocks)))
+    return combine(device, mem_s, imb, bw, res, len(blocks))
+
+
+def gpu_ttv(x, v: np.ndarray, mode: int, device: DeviceSpec, **kw) -> GpuRunResult:
+    """COO/HiCOO-Ttv-GPU: the numeric Ttv and its :func:`ttv_timing`."""
+    timing = ttv_timing(x, v, mode, device)
+    value = (
+        hicoo_ttv(x, v, mode, **kw)
+        if isinstance(x, HiCOOTensor)
+        else coo_ttv(x, v, mode, **kw)
+    )
+    return GpuRunResult(value, timing)
 
 
 # --------------------------------------------------------------------- #
 # Ttm
 # --------------------------------------------------------------------- #
-def gpu_ttm(x, u: np.ndarray, mode: int, device: DeviceSpec, **kw) -> GpuRunResult:
-    """COO/HiCOO-Ttm-GPU: 2-D thread blocks, x-dim = matrix columns for
-    coalescing, y-dim = non-zeros (ParTI's kernel)."""
+def ttm_timing(x, u: np.ndarray, mode: int, device: DeviceSpec, **kw) -> KernelTiming:
+    """COO/HiCOO-Ttm-GPU launch: 2-D thread blocks, x-dim = matrix
+    columns for coalescing, y-dim = non-zeros (ParTI's kernel)."""
     coo = x.to_coo() if isinstance(x, HiCOOTensor) else x
     r = u.shape[1]
     lengths = coo.fiber_index(mode).fiber_lengths()
-    value = (
-        hicoo_ttm(x, u, mode, **kw)
-        if isinstance(x, HiCOOTensor)
-        else coo_ttm(x, u, mode, **kw)
-    )
     fibers_per_block = max(1, device.threads_per_block // max(r, 1))
     # 2-D blocks put R columns on the x-dim, so a warp only spans
     # 32/R fibers on the y-dim: divergence is much milder than Ttv's.
@@ -167,7 +198,18 @@ def gpu_ttm(x, u: np.ndarray, mode: int, device: DeviceSpec, **kw) -> GpuRunResu
     )
     ws = (4.0 * r + 8.0) * (coo.nnz + len(lengths)) + 4.0 * coo.shape[mode] * r
     mem_s, imb, bw, res = memory_time(device, blocks, working_set_bytes=ws)
-    return GpuRunResult(value, combine(device, mem_s, imb, bw, res, len(blocks)))
+    return combine(device, mem_s, imb, bw, res, len(blocks))
+
+
+def gpu_ttm(x, u: np.ndarray, mode: int, device: DeviceSpec, **kw) -> GpuRunResult:
+    """COO/HiCOO-Ttm-GPU: the numeric Ttm and its :func:`ttm_timing`."""
+    timing = ttm_timing(x, u, mode, device)
+    value = (
+        hicoo_ttm(x, u, mode, **kw)
+        if isinstance(x, HiCOOTensor)
+        else coo_ttm(x, u, mode, **kw)
+    )
+    return GpuRunResult(value, timing)
 
 
 # --------------------------------------------------------------------- #
@@ -200,17 +242,11 @@ def _mttkrp_atomics(device, rows: np.ndarray, r: int, kw: dict):
     return atomic_time(device, len(rows) * r, contention), contention
 
 
-def gpu_coo_mttkrp(
-    x: COOTensor,
-    mats: Sequence[np.ndarray],
-    mode: int,
-    device: DeviceSpec,
-    **kw,
-) -> GpuRunResult:
-    """COO-Mttkrp-GPU: non-zero parallel with atomicAdd on the output
-    matrix; balanced work, contended updates."""
-    value = coo_mttkrp(x, mats, mode, **kw)
-    r = value.shape[1]
+def _coo_mttkrp_timing(
+    x: COOTensor, r: int, mode: int, device: DeviceSpec, kw: dict
+) -> KernelTiming:
+    """COO-Mttkrp-GPU launch: non-zero parallel with atomicAdd on the
+    output matrix; balanced work, contended updates."""
     m = x.nnz
     entries_per_block = max(1, device.threads_per_block // max(r, 1))
     # Streaming phase: tensor indices + values (16 bytes per entry).
@@ -236,37 +272,28 @@ def gpu_coo_mttkrp(
     atom, contention = _mttkrp_atomics(device, x.index_column(mode), r, kw)
     flop_time = 3.0 * m * r / (device.peak_sp_gflops * 1e9)
     addr = address_time(device, 4.0 * m * r, flop_time)
-    return GpuRunResult(
-        value,
-        combine(
-            device,
-            mem_s,
-            imb,
-            bw,
-            res,
-            len(stream_blocks),
-            atomic_s=atom,
-            address_s=addr,
-            contention=contention,
-        ),
+    return combine(
+        device,
+        mem_s,
+        imb,
+        bw,
+        res,
+        len(stream_blocks),
+        atomic_s=atom,
+        address_s=addr,
+        contention=contention,
     )
 
 
-def gpu_hicoo_mttkrp(
-    x: HiCOOTensor,
-    mats: Sequence[np.ndarray],
-    mode: int,
-    device: DeviceSpec,
-    **kw,
-) -> GpuRunResult:
-    """HiCOO-Mttkrp-GPU: one tensor block per CUDA thread block.
+def _hicoo_mttkrp_timing(
+    x: HiCOOTensor, r: int, mode: int, device: DeviceSpec, kw: dict
+) -> KernelTiming:
+    """HiCOO-Mttkrp-GPU launch: one tensor block per CUDA thread block.
 
     The balanced non-zero distribution of the COO kernel disappears —
     per-CUDA-block work is the tensor block's nnz — while atomics stay, so
     heavy-tailed block occupancy and low block counts can make this
     *slower* than COO-Mttkrp-GPU (paper Observation 4)."""
-    value = hicoo_mttkrp(x, mats, mode, **kw)
-    r = value.shape[1]
     nnzb = x.nnz_per_block().astype(np.float64)
     ginds = x.global_indices()
     # Per tensor-block traffic: matrix rows (reused within the block, at
@@ -282,20 +309,51 @@ def gpu_hicoo_mttkrp(
     atom, _ = _mttkrp_atomics(device, rows, r, kw)
     flop_time = 3.0 * x.nnz * r / (device.peak_sp_gflops * 1e9)
     addr = address_time(device, 2.0 * x.nnz * r, flop_time)
-    return GpuRunResult(
-        value,
-        combine(
-            device,
-            mem_s,
-            imb,
-            bw,
-            res,
-            len(per_block),
-            atomic_s=atom,
-            address_s=addr,
-            block_imbalance=float(nnzb.max() / nnzb.mean()) if len(nnzb) else 1.0,
-        ),
+    return combine(
+        device,
+        mem_s,
+        imb,
+        bw,
+        res,
+        len(per_block),
+        atomic_s=atom,
+        address_s=addr,
+        block_imbalance=float(nnzb.max() / nnzb.mean()) if len(nnzb) else 1.0,
     )
+
+
+def mttkrp_timing(x, mats, mode: int, device: DeviceSpec, **kw) -> KernelTiming:
+    """Mttkrp-GPU launch of either format; reads only the rank of
+    ``mats``."""
+    r = next(u.shape[1] for u in mats if u is not None)
+    if isinstance(x, HiCOOTensor):
+        return _hicoo_mttkrp_timing(x, r, mode, device, kw)
+    return _coo_mttkrp_timing(x, r, mode, device, kw)
+
+
+def gpu_coo_mttkrp(
+    x: COOTensor,
+    mats: Sequence[np.ndarray],
+    mode: int,
+    device: DeviceSpec,
+    **kw,
+) -> GpuRunResult:
+    """COO-Mttkrp-GPU: the numeric Mttkrp and its COO launch timing."""
+    value = coo_mttkrp(x, mats, mode, **kw)
+    return GpuRunResult(value, _coo_mttkrp_timing(x, value.shape[1], mode, device, kw))
+
+
+def gpu_hicoo_mttkrp(
+    x: HiCOOTensor,
+    mats: Sequence[np.ndarray],
+    mode: int,
+    device: DeviceSpec,
+    **kw,
+) -> GpuRunResult:
+    """HiCOO-Mttkrp-GPU: the numeric Mttkrp and its block-parallel launch
+    timing."""
+    value = hicoo_mttkrp(x, mats, mode, **kw)
+    return GpuRunResult(value, _hicoo_mttkrp_timing(x, value.shape[1], mode, device, kw))
 
 
 def gpu_mttkrp(x, mats, mode: int, device: DeviceSpec, **kw) -> GpuRunResult:

@@ -48,6 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.errors import ReproError
 from repro.generate.powerlaw import powerlaw_stream
 from repro.kernels.mttkrp import coo_mttkrp, hicoo_mttkrp
 from repro.kernels.ttv import coo_ttv, hicoo_ttv
@@ -76,7 +77,7 @@ _SENTINEL = object()
 _LOG = get_logger("repro.ingest")
 
 
-class IngestError(RuntimeError):
+class IngestError(ReproError, RuntimeError):
     """An ingestion-path failure (misconfiguration or injected fault)."""
 
 

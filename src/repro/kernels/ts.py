@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.types import OpKind
 from repro.kernels.contract import Access, declares_output
+from repro.obs.registry import get_metrics
 from repro.obs.tracer import CAT_KERNEL, current_tracer
 from repro.parallel.backend import Backend, get_backend
 from repro.sptensor.coo import COOTensor
@@ -43,6 +44,11 @@ def scalar_values(
 
     def body(lo: int, hi: int) -> None:
         ufunc(xv[lo:hi], s, out=out[lo:hi])
+
+    metrics = get_metrics()
+    metrics.inc("kernel.nnz_processed", len(out))
+    # One flop per non-zero, as in ts_cost.
+    metrics.inc("kernel.flops", float(len(out)))
 
     # Chunks write disjoint slices of the value array by construction.
     with current_tracer().span(

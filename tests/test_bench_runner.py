@@ -149,9 +149,20 @@ class TestSeeding:
         cfg = RunnerConfig(measure_host=False)
         bundle = TensorBundle.prepare("a", tensor, cfg)
         bare = bundle.nbytes
-        # A modeled CPU case reads only the features: nothing is drawn.
-        SuiteRunner(BLUESKY, cfg).run_kernel(bundle, Kernel.MTTKRP, Format.COO)
+        # A modeled CPU case reads only the features: nothing is drawn
+        # and no index or plan is cached.
+        for kernel in (Kernel.TTV, Kernel.MTTKRP):
+            SuiteRunner(BLUESKY, cfg).run_kernel(bundle, kernel, Format.COO)
         assert bundle.nbytes == bare
+
+        def held() -> int:
+            """Bytes of the bundle, the launch models' fiber indexes aside."""
+            return bundle.nbytes - bundle.coo.cache_nbytes - bundle.hicoo.cache_nbytes
+
+        # A simulated GPU case reads only the operands' shapes.
+        for kernel in (Kernel.TTV, Kernel.MTTKRP):
+            SuiteRunner(DGX_1V, cfg).run_kernel(bundle, kernel, Format.COO)
+        assert held() == bare
         rng = rng_from_seed(derive_case_seed(cfg.seed, "bundle", "a"))
         vectors = [rng.random(s).astype(np.float32) for s in tensor.shape]
         matrices = [rng.random((s, cfg.rank)).astype(np.float32) for s in tensor.shape]
@@ -160,7 +171,7 @@ class TestSeeding:
             np.testing.assert_array_equal(got, want)
         for got, want in zip(bundle.vectors, vectors):
             np.testing.assert_array_equal(got, want)
-        assert bundle.nbytes == bare + sum(a.nbytes for a in vectors + matrices)
+        assert held() == bare + sum(a.nbytes for a in vectors + matrices)
 
 
 def _same(got, want) -> bool:

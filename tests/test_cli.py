@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -239,3 +243,26 @@ class TestObservability:
         out = capsys.readouterr().out
         assert "roofline (Bluesky)" in out
         assert "bound fraction" in out and "effective DRAM bw" in out
+
+
+class TestConfigErrors:
+    """A bad option ends in one ``repro: error:`` line and exit status 2."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["ingest-bench", "--workers", "0"], "workers"),
+        (["ingest-bench", "--query-every", "-1"], "query_every"),
+        (["sweep", "--dataset", "synthetic", "--tensors", "regS",
+          "--timeout", "0"], "timeout_s"),
+    ])
+    def test_config_error_is_one_line(self, argv, message):
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro: error: ") and message in lines[0]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import PatternMismatchError, ShapeError
 from repro.gpu import (
     P100,
     V100,
@@ -17,6 +18,7 @@ from repro.gpu import (
     gpu_ttm,
     gpu_ttv,
     memory_time,
+    tew_timing,
 )
 from repro.kernels import dense_mttkrp, dense_ttm, dense_ttv
 from repro.roofline.platform import BLUESKY
@@ -152,6 +154,24 @@ class TestGpuKernels:
         a = gpu_coo_mttkrp(x, mats, 0, V100)
         b = gpu_hicoo_mttkrp(h, mats, 0, V100)
         np.testing.assert_allclose(a.value, b.value, rtol=1e-8)
+
+    def test_tew_timing_counts_the_merged_pattern(self, x):
+        # Two patterns: the launch covers the union, which the timing-only
+        # model has to merge to count.
+        y = COOTensor.random(x.shape, nnz=9_000, rng=8).astype(np.float64)
+        full = gpu_tew(x, y, "add", P100)
+        assert full.value.nnz > x.nnz
+        assert tew_timing(x, y, "add", P100) == full.timing
+
+    def test_tew_timing_checks_inputs_like_gpu_tew(self, x):
+        other = COOTensor.random(x.shape, nnz=x.nnz - 1, rng=8).astype(np.float64)
+        wide = COOTensor.random(
+            tuple(s + 1 for s in x.shape), nnz=x.nnz, rng=8
+        ).astype(np.float64)
+        for y, err in ((other, PatternMismatchError), (wide, ShapeError)):
+            for fn in (gpu_tew, tew_timing):
+                with pytest.raises(err):
+                    fn(x, y, "add", P100, assume_same_pattern=True)
 
     def test_hicoo_kernels_accept_hicoo(self, h):
         res = gpu_ts(h, 2.0, "mul", P100)

@@ -330,6 +330,23 @@ class TestKernelIntegration:
             2 * 3.0 * x.nnz * 4
         )
 
+    @pytest.mark.parametrize("kernel", ["tew", "ts"])
+    def test_tew_ts_count_one_flop_per_nonzero(self, registry, kernel):
+        from repro.kernels import tew, ts
+        from repro.sptensor import COOTensor, HiCOOTensor
+
+        x = COOTensor.random((30, 20, 10), nnz=600, rng=4).sort()
+        h = HiCOOTensor.from_coo(x, 4)
+        for t in (x, h):
+            before = registry.counter_totals(prefix="kernel.")
+            if kernel == "tew":
+                tew(t, t, "add", assume_same_pattern=True)
+            else:
+                ts(t, 2.0, "mul")
+            after = registry.counter_totals(prefix="kernel.")
+            for name in ("kernel.nnz_processed", "kernel.flops"):
+                assert after[name] - before.get(name, 0.0) == t.nnz
+
     def test_untraced_mttkrp_still_counts(self, registry):
         from repro.generate import powerlaw_tensor
         from repro.kernels import coo_mttkrp

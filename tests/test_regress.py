@@ -186,6 +186,16 @@ class TestLoaders:
         report = compare_paths("BENCH_kernels.json", "BENCH_kernels.json")
         assert report.exit_code == 0
 
+    def test_committed_bench_file_times_generation(self):
+        # The harness's tensor-generation rows form one host group, one
+        # case per tensor.
+        ms = load_measurements("BENCH_kernels.json")
+        gen = [m for m in ms if m.group == ("generate", "coo", "", "host")]
+        assert sorted(dict(m.identity)["tensor"] for m in gen) == [
+            "choa", "regM", "vast",
+        ]
+        assert all(m.value > 0 for m in gen)
+
     def test_missing_file_raises(self):
         with pytest.raises(RegressError):
             load_measurements("/nonexistent/path.jsonl")
