@@ -2,7 +2,7 @@
 
 Times the scatter-add kernels (Mttkrp on COO/HiCOO) across update methods
 (``atomic``, ``sort``, ``owner``) and backends, the fiber-parallel
-kernels (Ttv/Ttm) across fiber partitions, and tensor generation (the
+kernels (Ttv/Ttm), and tensor generation (the
 choa and vast surrogates and the regM Table 3 tensor, ``kernel:
 "generate"`` rows tagged with the tensor name), and writes
 ``BENCH_kernels.json`` at the repo root.  The JSON is committed so every
@@ -143,14 +143,9 @@ def run(quick: bool, nthreads: int, reps: int, trace_path: str | None = None) ->
                lambda m=method: hicoo_mttkrp(h, mats, 0, omp, method=m),
                method=method)
 
-    # --- Ttv / Ttm: fiber partitioning --------------------------------- #
-    for partition in ("uniform", "balanced"):
-        record("ttv", "coo", "openmp", nthreads,
-               lambda p=partition: coo_ttv(x, vec, 1, omp, partition=p),
-               partition=partition)
-        record("ttm", "coo", "openmp", nthreads,
-               lambda p=partition: coo_ttm(x, u, 1, omp, partition=p),
-               partition=partition)
+    # --- Ttv / Ttm: the static fiber loop ------------------------------ #
+    record("ttv", "coo", "openmp", nthreads, lambda: coo_ttv(x, vec, 1, omp))
+    record("ttm", "coo", "openmp", nthreads, lambda: coo_ttm(x, u, 1, omp))
 
     # --- Generation: the resample loop behind every synthetic tensor --- #
     for name, make in (

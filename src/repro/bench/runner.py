@@ -237,13 +237,21 @@ class TensorBundle:
     def _draw_operands(self) -> tuple:
         if self._operands is None:
             rng = rng_from_seed(self.operand_seed)
-            vectors = [rng.random(s).astype(np.float32) for s in self.coo.shape]
-            matrices = [
-                rng.random((s, self.rank)).astype(np.float32)
-                for s in self.coo.shape
-            ]
+            vectors = [_random_float32(rng, (s,)) for s in self.coo.shape]
+            matrices = [_random_float32(rng, (s, self.rank)) for s in self.coo.shape]
             self._operands = (vectors, matrices)
         return self._operands
+
+
+def _random_float32(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """``rng.random(shape).astype(np.float32)``, drawn a block of rows at a
+    time so the float64 draw never exists whole: the same values and the
+    same stream position, at about the float32 result's memory."""
+    out = np.empty(shape, dtype=np.float32)
+    step = max(1, (1 << 16) // max(1, out[:1].size))  # 512 KiB of float64
+    for lo in range(0, shape[0], step):
+        out[lo:lo + step] = rng.random(out[lo:lo + step].shape)
+    return out
 
 
 def protocol_calls(

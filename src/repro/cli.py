@@ -571,8 +571,8 @@ def _cmd_trace(args) -> int:
     operand, mode, kw = {
         Kernel.TEW: (x, "add", {"assume_same_pattern": True}),
         Kernel.TS: (1.5, "mul", {}),
-        Kernel.TTV: (vec, args.mode, {"schedule": args.schedule}),
-        Kernel.TTM: (mats[args.mode], args.mode, {"schedule": args.schedule}),
+        Kernel.TTV: (vec, args.mode, {}),
+        Kernel.TTM: (mats[args.mode], args.mode, {}),
         Kernel.MTTKRP: (mats, args.mode, {"method": args.method}),
     }[kernel]
     backend = OpenMPBackend(nthreads=args.nthreads)
@@ -582,7 +582,6 @@ def _cmd_trace(args) -> int:
             "kernel": args.kernel,
             "fmt": args.fmt,
             "nthreads": args.nthreads,
-            "schedule": args.schedule,
         }
     )
     try:
@@ -616,7 +615,7 @@ def _cmd_trace(args) -> int:
 
     print(
         f"traced {args.kernel}/{args.fmt} on {name} "
-        f"(nnz {coo.nnz}, {args.nthreads} threads, {args.schedule})"
+        f"(nnz {coo.nnz}, {args.nthreads} threads)"
     )
     print()
     print(stats.render())
@@ -845,11 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="Mttkrp scatter method",
     )
     p_trace.add_argument("--nthreads", type=int, default=4)
-    p_trace.add_argument(
-        "--schedule", default="dynamic",
-        choices=["static", "dynamic", "guided"],
-        help="Ttv/Ttm loop schedule (Mttkrp threads own output-row ranges)",
-    )
     p_trace.add_argument("--block-size", type=int, default=128)
     p_trace.add_argument("--repeats", type=int, default=1)
     p_trace.add_argument(

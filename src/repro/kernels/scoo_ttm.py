@@ -15,6 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import FormatError, ShapeError
+from repro.kernels.ttv import fiber_reduce, sorted_fibers
+from repro.parallel.backend import get_backend
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.scoo import SemiCOOTensor
 from repro.util.validation import check_mode
@@ -50,7 +52,6 @@ def scoo_ttm(
     r = u.shape[1]
     sp_col = x.sparse_modes.index(mode)
     keep_cols = [j for j in range(len(x.sparse_modes)) if j != sp_col]
-    keep_modes = [x.sparse_modes[j] for j in keep_cols]
 
     # Sort entries so rows sharing the kept sparse coordinates are
     # contiguous, with the contracted mode varying fastest.
@@ -60,33 +61,22 @@ def scoo_ttm(
         key = key * np.int64(x.shape[x.sparse_modes[j]]) + inds[:, j]
     key = key * np.int64(x.shape[mode]) + inds[:, sp_col]
     order = np.argsort(key, kind="stable")
-    inds = inds[order]
-    values = x.values[order]
-    if x.nnz_sparse == 0:
-        starts = np.zeros(0, dtype=np.int64)
-        fptr = np.zeros(1, dtype=np.int64)
-    else:
-        rest = key[order] // np.int64(x.shape[mode])
-        change = np.flatnonzero(np.diff(rest)) + 1
-        starts = np.concatenate(([0], change))
-        fptr = np.concatenate((starts, [x.nnz_sparse])).astype(np.int64)
+    fib = sorted_fibers((key[order] // np.int64(x.shape[mode]),), inds[:, sp_col], order)
 
     dtype = np.result_type(x.values, u)
     # contrib: dense block (M, *D) ⊗ matrix row (M, R) -> (M, *D, R)
-    rows = u[inds[:, sp_col], :].astype(dtype)
-    contrib = values.astype(dtype)[..., None] * rows.reshape(
-        (x.nnz_sparse,) + (1,) * (values.ndim - 1) + (r,)
+    rows = u[fib.col, :].astype(dtype)
+    contrib = x.values[order].astype(dtype)[..., None] * rows.reshape(
+        (x.nnz_sparse,) + (1,) * (x.values.ndim - 1) + (r,)
     )
-    nf = len(starts)
-    out_vals = np.zeros((nf,) + contrib.shape[1:], dtype=dtype)
-    if x.nnz_sparse:
-        out_vals[:] = np.add.reduceat(contrib, starts, axis=0)
+    out_vals = np.zeros((len(fib.heads),) + contrib.shape[1:], dtype=dtype)
+    fiber_reduce(contrib, fib.fptr, out_vals, get_backend(None), "ttm", "scoo")
 
     out_shape = tuple(
         r if m == mode else s for m, s in enumerate(x.shape)
     )
     out_dense_modes = tuple(sorted(x.dense_modes + (mode,)))
-    out_inds = inds[starts][:, keep_cols] if nf else np.empty((0, len(keep_cols)), dtype=np.int64)
+    out_inds = inds[fib.heads][:, keep_cols]
     # The value block axes must follow increasing dense-mode order; the
     # new axis currently sits last — move it to its sorted position.
     new_pos = out_dense_modes.index(mode)

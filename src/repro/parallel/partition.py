@@ -103,8 +103,8 @@ def balanced_partition(weights: np.ndarray, nparts: int) -> list[tuple[int, int]
     """Split items with per-item ``weights`` into contiguous ranges whose
     total weights are as even as a prefix-sum greedy split can make them.
 
-    Used to balance fiber-parallel Ttv/Ttm by non-zeros instead of fiber
-    count (the mitigation for the imbalance the paper calls out).
+    Used to give each Mttkrp row owner a near-equal share of the updates
+    (:func:`repro.parallel.ownership.owner_partition`).
     """
     n = len(weights)
     if n == 0:

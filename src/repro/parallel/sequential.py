@@ -10,23 +10,13 @@ from __future__ import annotations
 from repro.types import Schedule
 from repro.obs.tracer import CAT_CHUNK, CAT_REGION, current_tracer
 from repro.parallel.backend import Backend, RangeBody
-from repro.parallel.partition import (
-    chunk_ranges,
-    fixed_chunks,
-    guided_chunks,
-    validate_chunk,
-)
+from repro.parallel.partition import fixed_chunks, validate_chunk
 
 
 class SequentialBackend(Backend):
     """Executes chunks in order in the calling thread."""
 
     nthreads = 1
-
-    def __init__(self, chunks_hint: int = 1):
-        #: How many chunks to cut loops into even though execution is
-        #: serial; >1 exercises the same code paths as threaded runs.
-        self.chunks_hint = max(1, int(chunks_hint))
 
     def parallel_for(
         self,
@@ -39,10 +29,8 @@ class SequentialBackend(Backend):
         chunk = validate_chunk(chunk)
         if chunk is not None:
             ranges = fixed_chunks(total, chunk)
-        elif schedule is Schedule.GUIDED:
-            ranges = guided_chunks(total, self.chunks_hint)
         else:
-            ranges = chunk_ranges(total, self.chunks_hint)
+            ranges = [(0, total)] if total > 0 else []
         tracer = current_tracer()
         if tracer.enabled:
             with tracer.span(

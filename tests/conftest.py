@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -71,3 +73,18 @@ def mats3(coo3):
 @pytest.fixture
 def mats4(coo4):
     return random_mats(coo4.shape, 4, seed=2)
+
+
+def under_schedule(monkeypatch, backend, schedule):
+    """``backend`` with every ``parallel_for`` run under ``schedule``.
+
+    Kernel loops take the backend's static default; this drives the same
+    loops through its dynamic and guided decompositions as well.
+    ``None`` (the sequential default) is returned unchanged.
+    """
+    if backend is not None:
+        monkeypatch.setattr(
+            backend, "parallel_for",
+            functools.partial(backend.parallel_for, schedule=schedule),
+        )
+    return backend

@@ -173,6 +173,23 @@ class TestSeeding:
             np.testing.assert_array_equal(got, want)
         assert held() == bare + sum(a.nbytes for a in vectors + matrices)
 
+    def test_operand_draw_holds_no_float64_copy(self):
+        import tracemalloc
+
+        # A long mode, like the choa surrogate's: its factor matrix
+        # dominates the operand bytes.
+        x = COOTensor((200_000, 6, 4), np.array([[0, 0, 0], [199_999, 5, 3]]),
+                      np.ones(2, dtype=np.float32))
+        bundle = TensorBundle.prepare("long", x, RunnerConfig(measure_host=False))
+        tracemalloc.start()
+        try:
+            bundle.matrices
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        final = sum(a.nbytes for a in bundle.vectors + bundle.matrices)
+        assert peak < 1.5 * final, (peak, final)
+
 
 def _same(got, want) -> bool:
     """Scalars compare by value; tensors and operands must be the very

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.kernels import coo_mttkrp, coo_ttv
-from repro.parallel import ChaosBackend, ChaosError, OpenMPBackend
+from repro.parallel import ChaosBackend, ChaosError, OpenMPBackend, SequentialBackend
 from repro.sptensor import COOTensor
 
 
@@ -101,8 +101,8 @@ class TestChaosEquivalence:
         ref = coo_ttv(tensor, v, 1)
         chaos = make_chaos(seed=5, churn=0.3)
         try:
-            got = coo_ttv(tensor, v, 1, backend=chaos, schedule="dynamic")
-            assert ref.allclose(got, rtol=1e-12)
+            got = coo_ttv(tensor, v, 1, backend=chaos)
+            assert np.array_equal(got.values, ref.values)
         finally:
             chaos.shutdown()
 
@@ -120,12 +120,26 @@ class TestWorkerChurnRegressionTrap:
     """Every chunk on a fresh OS thread must not change any result."""
 
     def test_fixed_pool_survives_total_churn(self, tensor):
-        v = np.random.default_rng(4).random(tensor.shape[1])
-        ref = coo_ttv(tensor, v, 1)
+        # Fiber sums over 8-fiber dynamic chunks, each on a fresh thread.
+        fi = tensor.fiber_index(1)
+        vals = tensor.values[fi.order].astype(np.float64)
+        starts = fi.fptr[:-1]
+
+        def reduce_fibers(backend):
+            out = np.zeros(fi.nfibers)
+
+            def body(lo, hi):
+                seg = vals[starts[lo]:fi.fptr[hi]]
+                out[lo:hi] = np.add.reduceat(seg, starts[lo:hi] - starts[lo])
+
+            backend.parallel_for(fi.nfibers, body, schedule="dynamic", chunk=8)
+            return out
+
+        ref = reduce_fibers(SequentialBackend())
         chaos = make_chaos(seed=5, churn=1.0)
         try:
-            got = coo_ttv(tensor, v, 1, backend=chaos, schedule="dynamic")
-            assert np.array_equal(got.values, ref.values)
+            got = reduce_fibers(chaos)
+            assert np.array_equal(got, ref)
             # More fresh threads ran chunks than the slot pool has slots:
             # each lease is per chunk, so churn never exhausts the pool.
             assert chaos.churned > chaos.nthreads

@@ -13,6 +13,7 @@ from repro.sptensor import (
     SemiCOOTensor,
     SemiHiCOOTensor,
 )
+from tests.conftest import under_schedule
 
 
 def mat_for(shape, mode, r=6, seed=0, dtype=np.float64):
@@ -90,13 +91,13 @@ class TestHicooTtm:
 
 
 class TestTtmParallel:
-    def test_openmp_matches_sequential(self, coo3):
+    def test_openmp_matches_sequential(self, monkeypatch, coo3):
         x = coo3.astype(np.float64)
         u = mat_for(x.shape, 2, seed=8)
         ref = coo_ttm(x, u, 2)
         be = OpenMPBackend(nthreads=4)
         try:
-            got = coo_ttm(x, u, 2, backend=be, schedule="dynamic")
+            got = coo_ttm(x, u, 2, backend=under_schedule(monkeypatch, be, "dynamic"))
             np.testing.assert_allclose(got.to_dense(), ref.to_dense(), rtol=1e-12)
         finally:
             be.shutdown()

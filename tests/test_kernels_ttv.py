@@ -1,13 +1,16 @@
 """Tests for the Ttv kernel (COO, HiCOO, gHiCOO) vs the dense reference."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.kernels import coo_ttv, dense_ttv, ghicoo_ttv, hicoo_ttv, ttv
+from repro.kernels import coo_ttm, coo_ttv, dense_ttv, ghicoo_ttv, hicoo_ttm, hicoo_ttv, ttv
 from repro.parallel import OpenMPBackend, SequentialBackend
 from repro.sptensor import COOTensor, GHiCOOTensor, HiCOOTensor
 from repro.types import Schedule
+from tests.conftest import under_schedule
 
 
 def vec_for(shape, mode, seed=0, dtype=np.float64):
@@ -112,23 +115,28 @@ class TestGhicooTtv:
 
 class TestTtvParallel:
     @pytest.mark.parametrize("schedule", list(Schedule))
-    def test_schedules_match_sequential(self, coo3, schedule):
+    def test_schedules_match_sequential(self, monkeypatch, coo3, schedule):
         x = coo3.astype(np.float64)
         v = vec_for(x.shape, 1, seed=2)
         ref = coo_ttv(x, v, 1)
-        be = OpenMPBackend(nthreads=4)
+        be = OpenMPBackend(nthreads=4, default_chunk=16)
         try:
-            got = coo_ttv(x, v, 1, backend=be, schedule=schedule)
-            assert got.allclose(ref, rtol=1e-12)
+            got = coo_ttv(x, v, 1, backend=under_schedule(monkeypatch, be, schedule))
+            assert np.array_equal(got.values, ref.values)
         finally:
             be.shutdown()
 
-    def test_chunked_sequential_matches(self, coo3):
+    def test_chunked_sequential_matches(self, monkeypatch, coo3):
         x = coo3.astype(np.float64)
         v = vec_for(x.shape, 0, seed=3)
         ref = coo_ttv(x, v, 0)
-        got = coo_ttv(x, v, 0, backend=SequentialBackend(chunks_hint=7))
-        assert got.allclose(ref, rtol=1e-12)
+        be = SequentialBackend()
+        # The threaded runs' chunked code path, executed serially.
+        monkeypatch.setattr(
+            be, "parallel_for", functools.partial(be.parallel_for, chunk=7)
+        )
+        got = coo_ttv(x, v, 0, backend=be)
+        assert np.array_equal(got.values, ref.values)
 
     def test_dispatcher(self, coo3, hicoo3):
         v = vec_for(coo3.shape, 2, seed=4)
@@ -137,3 +145,20 @@ class TestTtvParallel:
         np.testing.assert_allclose(
             b.to_coo().to_dense(), a.to_dense(), rtol=1e-5
         )
+
+
+class TestOrderOneRejected:
+    """Every fiber kernel refuses an order-1 tensor with one error, before
+    any format conversion."""
+
+    @pytest.mark.parametrize("kernel", ["coo_ttv", "hicoo_ttv", "coo_ttm", "hicoo_ttm"])
+    def test_same_shape_error(self, kernel):
+        x = COOTensor((5,), np.array([[1], [3]]), np.array([1.0, 2.0]))
+        call = {
+            "coo_ttv": lambda: coo_ttv(x, np.ones(5), 0),
+            "hicoo_ttv": lambda: hicoo_ttv(HiCOOTensor.from_coo(x, 4), np.ones(5), 0),
+            "coo_ttm": lambda: coo_ttm(x, np.ones((5, 2)), 0),
+            "hicoo_ttm": lambda: hicoo_ttm(HiCOOTensor.from_coo(x, 4), np.ones((5, 2)), 0),
+        }[kernel]
+        with pytest.raises(ShapeError, match="order >= 2"):
+            call()

@@ -102,13 +102,16 @@ class TestLoadMetrics:
 
 class TestSequentialBackend:
     def test_covers_iteration_space(self):
-        be = SequentialBackend(chunks_hint=5)
+        be = SequentialBackend()
         assert_covers(collect_ranges(be, 100), 100)
 
     def test_schedules_all_cover(self):
-        be = SequentialBackend(chunks_hint=3)
+        # Without an explicit chunk every schedule runs one whole-range
+        # chunk; an empty loop runs none.
+        be = SequentialBackend()
         for sched in Schedule:
-            assert_covers(collect_ranges(be, 57, schedule=sched), 57)
+            assert collect_ranges(be, 57, schedule=sched) == [(0, 57)]
+            assert collect_ranges(be, 0, schedule=sched) == []
 
     def test_explicit_chunk(self):
         be = SequentialBackend()
@@ -383,6 +386,6 @@ class TestBackendRegistry:
             get_backend("tpu")
 
     def test_register_custom(self):
-        be = SequentialBackend(chunks_hint=2)
+        be = SequentialBackend()
         register_backend("custom-test", be)
         assert get_backend("custom-test") is be

@@ -38,6 +38,7 @@ from repro.parallel import (
     get_backend,
 )
 from repro.sptensor import COOTensor, HiCOOTensor
+from tests.conftest import under_schedule
 
 
 @pytest.fixture
@@ -228,15 +229,15 @@ class TestKernelMatrixUnderChecker:
     @pytest.mark.parametrize("method", ["atomic", "sort", "owner"])
     @pytest.mark.parametrize("schedule", ["static", "dynamic", "guided"])
     @pytest.mark.parametrize("mode", [0, 1, 2])
-    def test_coo_mttkrp(self, tensor, mats, rc, method, schedule, mode):
-        # Mttkrp threads own output-row ranges; the schedule applies to
-        # the same mode's Ttv, which keeps its scheduled fiber chunks.
+    def test_coo_mttkrp(self, monkeypatch, tensor, mats, rc, method, schedule, mode):
+        # Mttkrp threads own output-row ranges; the schedule drives the
+        # same mode's Ttv fiber loop through the checker's chunks.
         ref = coo_mttkrp(tensor, mats, mode, method=method)
         got = coo_mttkrp(tensor, mats, mode, backend=rc, method=method)
         assert np.array_equal(got, ref)
         v = mats[mode][:, 0]
         ref_v = coo_ttv(tensor, v, mode)
-        got_v = coo_ttv(tensor, v, mode, backend=rc, schedule=schedule)
+        got_v = coo_ttv(tensor, v, mode, under_schedule(monkeypatch, rc, schedule))
         assert np.array_equal(got_v.values, ref_v.values)
 
     @pytest.mark.parametrize("method", ["atomic", "sort", "owner"])
@@ -246,26 +247,23 @@ class TestKernelMatrixUnderChecker:
         got = hicoo_mttkrp(hicoo, mats, mode, backend=rc, method=method)
         assert np.array_equal(got, ref)
 
-    @pytest.mark.parametrize("partition", ["uniform", "balanced"])
-    def test_ttv_ttm(self, tensor, hicoo, rc, partition):
+    def test_ttv_ttm(self, tensor, hicoo, rc):
         rng = np.random.default_rng(5)
         v = rng.random(tensor.shape[1])
         u = rng.random((tensor.shape[1], 4))
         ref_v = coo_ttv(tensor, v, 1)
-        assert ref_v.allclose(
-            coo_ttv(tensor, v, 1, backend=rc, partition=partition), rtol=1e-12
-        )
+        assert np.array_equal(coo_ttv(tensor, v, 1, backend=rc).values, ref_v.values)
         ref_m = coo_ttm(tensor, u, 1)
-        got_m = coo_ttm(tensor, u, 1, backend=rc, partition=partition)
-        np.testing.assert_allclose(got_m.values, ref_m.values, rtol=1e-12)
+        got_m = coo_ttm(tensor, u, 1, backend=rc)
+        assert np.array_equal(got_m.values, ref_m.values)
         v2 = rng.random(tensor.shape[2])
         ref_hv = hicoo_ttv(hicoo, v2, 2)
-        got_hv = hicoo_ttv(hicoo, v2, 2, backend=rc, partition=partition)
-        np.testing.assert_allclose(got_hv.values, ref_hv.values, rtol=1e-12)
+        got_hv = hicoo_ttv(hicoo, v2, 2, backend=rc)
+        assert np.array_equal(got_hv.values, ref_hv.values)
         u2 = rng.random((tensor.shape[2], 4))
         ref_hm = hicoo_ttm(hicoo, u2, 2)
-        got_hm = hicoo_ttm(hicoo, u2, 2, backend=rc, partition=partition)
-        np.testing.assert_allclose(got_hm.values, ref_hm.values, rtol=1e-12)
+        got_hm = hicoo_ttm(hicoo, u2, 2, backend=rc)
+        assert np.array_equal(got_hm.values, ref_hm.values)
 
     def test_tew_ts(self, tensor, hicoo, rc):
         other = COOTensor(

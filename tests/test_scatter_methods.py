@@ -1,8 +1,9 @@
 """Backend/schedule/method equivalence for the scatter-add kernels.
 
 Every combination of backend (sequential, OpenMP, race-check), update
-method (atomic, sort, owner) and Ttv/Ttm schedule (static, dynamic,
-guided) must produce the same Mttkrp/Ttv/Ttm results — including the
+method (atomic, sort, owner) and backend schedule (static, dynamic,
+guided) driving the Ttv/Ttm fiber loop must produce the same
+Mttkrp/Ttv/Ttm results — including the
 empty-tensor and single-block edge cases — and every Mttkrp method must
 be *bit-identical* to the sequential kernel.
 """
@@ -25,6 +26,7 @@ from repro.parallel import (
     owner_partition,
 )
 from repro.sptensor import COOTensor, HiCOOTensor
+from tests.conftest import under_schedule
 
 SCHEDULES = ["static", "dynamic", "guided"]
 METHODS = ["atomic", "sort", "owner"]
@@ -74,17 +76,18 @@ class TestMttkrpEquivalence:
     @pytest.mark.parametrize("schedule", SCHEDULES)
     @pytest.mark.parametrize("mode", [0, 1, 2])
     def test_coo_all_combinations(
-        self, tensor, mats, omp4, racecheck, method, schedule, mode
+        self, monkeypatch, tensor, mats, omp4, racecheck, method, schedule, mode
     ):
-        # Mttkrp threads own output-row ranges; the schedule applies to
-        # the same mode's Ttv, which keeps its scheduled fiber chunks.
+        # Mttkrp threads own output-row ranges; the schedule drives the
+        # same mode's Ttv fiber loop through the backend's chunks.
         ref = coo_mttkrp(tensor, mats, mode, method=method)
         ref_v = coo_ttv(tensor, mats[mode][:, 0], mode)
         for backend in (None, omp4, racecheck):
             got = coo_mttkrp(tensor, mats, mode, backend=backend, method=method)
             assert np.array_equal(got, ref)
             got_v = coo_ttv(
-                tensor, mats[mode][:, 0], mode, backend=backend, schedule=schedule
+                tensor, mats[mode][:, 0], mode,
+                backend=under_schedule(monkeypatch, backend, schedule),
             )
             assert np.array_equal(got_v.values, ref_v.values)
 
@@ -92,7 +95,7 @@ class TestMttkrpEquivalence:
     @pytest.mark.parametrize("schedule", SCHEDULES)
     @pytest.mark.parametrize("mode", [0, 1, 2])
     def test_hicoo_all_combinations(
-        self, hicoo, mats, omp4, racecheck, method, schedule, mode
+        self, monkeypatch, hicoo, mats, omp4, racecheck, method, schedule, mode
     ):
         ref = hicoo_mttkrp(hicoo, mats, mode, method=method)
         ref_v = hicoo_ttv(hicoo, mats[mode][:, 0], mode)
@@ -100,7 +103,8 @@ class TestMttkrpEquivalence:
             got = hicoo_mttkrp(hicoo, mats, mode, backend=backend, method=method)
             assert np.array_equal(got, ref)
             got_v = hicoo_ttv(
-                hicoo, mats[mode][:, 0], mode, backend=backend, schedule=schedule
+                hicoo, mats[mode][:, 0], mode,
+                backend=under_schedule(monkeypatch, backend, schedule),
             )
             assert np.array_equal(got_v.values, ref_v.values)
 
@@ -165,41 +169,38 @@ class TestChaosSchedulingEquivalence:
 
 
 class TestFiberPartitionEquivalence:
-    @pytest.mark.parametrize("partition", ["uniform", "balanced"])
+    """The fiber loop splits fibers into backend chunks; any split gives
+    the sequential result bit for bit."""
+
     @pytest.mark.parametrize("schedule", SCHEDULES)
-    def test_coo_ttv_ttm(self, tensor, omp4, racecheck, partition, schedule):
+    def test_coo_ttv_ttm(self, monkeypatch, tensor, omp4, racecheck, schedule):
         rng = np.random.default_rng(3)
         v = rng.random(tensor.shape[1])
         u = rng.random((tensor.shape[1], 5))
         ref_v = coo_ttv(tensor, v, 1)
         ref_m = coo_ttm(tensor, u, 1)
         for backend in (None, omp4, racecheck):
-            got_v = coo_ttv(
-                tensor, v, 1, backend=backend,
-                schedule=schedule, partition=partition,
-            )
-            assert ref_v.allclose(got_v, rtol=1e-12)
-            got_m = coo_ttm(
-                tensor, u, 1, backend=backend,
-                schedule=schedule, partition=partition,
-            )
-            np.testing.assert_allclose(got_m.values, ref_m.values, rtol=1e-12)
+            backend = under_schedule(monkeypatch, backend, schedule)
+            assert np.array_equal(coo_ttv(tensor, v, 1, backend).values, ref_v.values)
+            assert np.array_equal(coo_ttm(tensor, u, 1, backend).values, ref_m.values)
 
-    @pytest.mark.parametrize("partition", ["uniform", "balanced"])
-    def test_hicoo_ttv_ttm(self, tensor, hicoo, omp4, partition):
+    def test_hicoo_ttv_ttm(self, tensor, hicoo, omp4):
         rng = np.random.default_rng(4)
         v = rng.random(tensor.shape[2])
         u = rng.random((tensor.shape[2], 5))
         ref_v = coo_ttv(tensor, v, 2)
-        got_v = hicoo_ttv(hicoo, v, 2, backend=omp4, partition=partition)
+        got_v = hicoo_ttv(hicoo, v, 2, backend=omp4)
         assert got_v.to_coo().allclose(ref_v, rtol=1e-10)
+        assert np.array_equal(got_v.values, hicoo_ttv(hicoo, v, 2).values)
         ref_m = hicoo_ttm(hicoo, u, 2)
-        got_m = hicoo_ttm(hicoo, u, 2, backend=omp4, partition=partition)
-        np.testing.assert_allclose(got_m.values, ref_m.values, rtol=1e-12)
+        got_m = hicoo_ttm(hicoo, u, 2, backend=omp4)
+        assert np.array_equal(got_m.values, ref_m.values)
 
     def test_unknown_partition_rejected(self, tensor):
-        with pytest.raises(ValueError, match="partition"):
-            coo_ttv(tensor, np.ones(tensor.shape[0]), 0, partition="magic")
+        # Fibers are split by count, one static range per thread; there
+        # is no per-call partition to choose.
+        with pytest.raises(TypeError, match="partition"):
+            coo_ttv(tensor, np.ones(tensor.shape[0]), 0, partition="balanced")
 
 
 class TestOwnerPartition:

@@ -42,6 +42,15 @@ class TestScooTtm:
         want = dense_ttm_at(dense_ttm_at(d, mats[2], 2), mats[0], 0)
         np.testing.assert_allclose(out.to_dense(), want, rtol=1e-9)
 
+    def test_counts_kernel_work(self, registry, x4, mats):
+        semi = coo_ttm(x4, mats[1], 1)
+        before = registry.counter_totals("kernel.")
+        scoo_ttm(semi, mats[3], 3)
+        after = registry.counter_totals("kernel.")
+        m, d, r = semi.nnz_sparse, semi.values[0].size, mats[3].shape[1]
+        assert after["kernel.nnz_processed"] - before["kernel.nnz_processed"] == m
+        assert after["kernel.flops"] - before["kernel.flops"] == 2.0 * m * d * r
+
     def test_already_dense_mode_rejected(self, x4, mats):
         semi = coo_ttm(x4, mats[1], 1)
         with pytest.raises(FormatError):
