@@ -10,6 +10,7 @@ import os
 
 import pytest
 
+from repro.kernels.plans import fiber_plan
 from repro.sptensor import (
     COOTensor,
     CSFTensor,
@@ -59,8 +60,12 @@ def test_sort_rowmajor(benchmark, bench_tensor):
 
 
 def test_fiber_index(benchmark, bench_tensor):
-    fi = benchmark(lambda: bench_tensor.fiber_index(2))
-    assert fi.nfibers > 0
+    # A cold fiber plan build: every round plans a fresh copy, made in
+    # the untimed setup, so no round finds a cached plan.
+    plan = benchmark.pedantic(
+        fiber_plan, setup=lambda: ((bench_tensor.copy(), 2), {}), rounds=5
+    )
+    assert plan.nfibers > 0
 
 
 def test_write_read_tns(benchmark, bench_tensor, tmp_path_factory):

@@ -2,7 +2,7 @@
 
 Times the scatter-add kernels (Mttkrp on COO/HiCOO) across update methods
 (``atomic``, ``sort``, ``owner``) and backends, the fiber-parallel
-kernels (Ttv/Ttm), and tensor generation (the
+kernels (Ttv/Ttm on COO and HiCOO), and tensor generation (the
 choa and vast surrogates and the regM Table 3 tensor, ``kernel:
 "generate"`` rows tagged with the tensor name), and writes
 ``BENCH_kernels.json`` at the repo root.  The JSON is committed so every
@@ -14,8 +14,10 @@ PR has a perf trajectory to compare against:
 Every backend runs the same lowering (see ``repro.kernels.plans``): the
 OpenMP Mttkrp rows split the output rows into one owner range per thread,
 the sequential rows run one range.  One-time plan construction (segment
-plans, owner partitions) lands in warmup; the ``plan.build_seconds`` registry delta around it is reported
-as ``compile_s`` per entry so ``median_s`` stays steady-state.  Each
+plans, owner partitions, the Ttv/Ttm fiber plans: the sort and, for
+HiCOO, the gHiCOO copy) lands in warmup; the ``plan.build_seconds``
+registry delta around it is reported as ``compile_s`` per entry so
+``median_s`` times the steady-state loop.  Each
 entry is also attributed against the Bluesky CPU roofline
 (``bound_fraction = achieved / min(peak, OI x ERT-DRAM)``), and carries
 ``host_cpus``: a row with ``oversubscribed: true`` ran more threads than
@@ -40,7 +42,14 @@ import numpy as np
 
 from repro.datasets import make_surrogate
 from repro.generate import get_synthetic, powerlaw_tensor
-from repro.kernels import coo_mttkrp, coo_ttm, coo_ttv, hicoo_mttkrp
+from repro.kernels import (
+    coo_mttkrp,
+    coo_ttm,
+    coo_ttv,
+    hicoo_mttkrp,
+    hicoo_ttm,
+    hicoo_ttv,
+)
 from repro.obs import Tracer, analyze, chrome_trace
 from repro.obs.attribution import attribute
 from repro.obs.registry import get_metrics
@@ -146,6 +155,8 @@ def run(quick: bool, nthreads: int, reps: int, trace_path: str | None = None) ->
     # --- Ttv / Ttm: the static fiber loop ------------------------------ #
     record("ttv", "coo", "openmp", nthreads, lambda: coo_ttv(x, vec, 1, omp))
     record("ttm", "coo", "openmp", nthreads, lambda: coo_ttm(x, u, 1, omp))
+    record("ttv", "hicoo", "openmp", nthreads, lambda: hicoo_ttv(h, vec, 1, omp))
+    record("ttm", "hicoo", "openmp", nthreads, lambda: hicoo_ttm(h, u, 1, omp))
 
     # --- Generation: the resample loop behind every synthetic tensor --- #
     for name, make in (
@@ -168,10 +179,9 @@ def run(quick: bool, nthreads: int, reps: int, trace_path: str | None = None) ->
         for m in ("atomic", "sort", "owner")
         for mode in range(x.nmodes)
     ]
-    pairs.append((coo_ttv(x, vec, 1, seq).values,
-                  coo_ttv(x, vec, 1, omp).values))
-    pairs.append((coo_ttm(x, u, 1, seq).values,
-                  coo_ttm(x, u, 1, omp).values))
+    for ttv, ttm, t in ((coo_ttv, coo_ttm, x), (hicoo_ttv, hicoo_ttm, h)):
+        pairs.append((ttv(t, vec, 1, seq).values, ttv(t, vec, 1, omp).values))
+        pairs.append((ttm(t, u, 1, seq).values, ttm(t, u, 1, omp).values))
     checks = {
         "owner_bitidentical_to_sequential": bool(
             np.array_equal(ref, owner_seq) and np.array_equal(ref, owner_par)

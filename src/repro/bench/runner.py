@@ -217,7 +217,7 @@ class TensorBundle:
     @property
     def nbytes(self) -> int:
         """Bytes of the prepared arrays, the operands once drawn, and the
-        index columns and scatter plans kernels have cached on them."""
+        index columns and plans kernels have cached on them."""
         coo, hicoo = self.coo, self.hicoo
         arrays = [coo.indices, coo.values, hicoo.bptr, hicoo.binds, hicoo.einds, hicoo.values]
         if self._operands is not None:

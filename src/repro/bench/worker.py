@@ -53,7 +53,8 @@ class BundleCache:
     The key is every input of the preparation: tensor name, tensor spec,
     base seed, block size and rank.  Sizes are taken at each miss, not
     at insertion, because a bundle grows when a kernel first draws its
-    operands or caches index columns and scatter plans on its tensors.  A bundle larger than the whole budget is prepared and
+    operands or caches index columns and plans on its tensors.  A bundle
+    larger than the whole budget is prepared and
     used but not kept.
     """
 

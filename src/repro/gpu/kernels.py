@@ -29,6 +29,7 @@ from repro.errors import PatternMismatchError
 from repro.types import OpKind
 from repro.obs.registry import get_metrics
 from repro.kernels.mttkrp import coo_mttkrp, hicoo_mttkrp
+from repro.kernels import plans
 from repro.kernels.tew import coo_tew, hicoo_tew
 from repro.kernels.ts import coo_ts, hicoo_ts
 from repro.kernels.ttm import coo_ttm, hicoo_ttm
@@ -159,12 +160,11 @@ def gpu_ts(x, s: float, op: "OpKind | str", device: DeviceSpec, **kw) -> GpuRunR
 def ttv_timing(x, v: np.ndarray, mode: int, device: DeviceSpec, **kw) -> KernelTiming:
     """COO/HiCOO-Ttv-GPU launch: one thread per fiber; unbalanced fiber
     lengths make some thread blocks stragglers (paper Sec. 3.2.2)."""
-    coo = x.to_coo() if isinstance(x, HiCOOTensor) else x
-    lengths = coo.fiber_index(mode).fiber_lengths()
+    lengths = plans.fiber_lengths(x, mode)
     blocks = _fiber_block_bytes(
         lengths, device.threads_per_block, 12.0, 12.0, warp=32
     )
-    ws = 12.0 * coo.nnz + 12.0 * len(lengths) + 4.0 * coo.shape[mode]
+    ws = 12.0 * x.nnz + 12.0 * len(lengths) + 4.0 * x.shape[mode]
     mem_s, imb, bw, res = memory_time(device, blocks, working_set_bytes=ws)
     return combine(device, mem_s, imb, bw, res, len(blocks))
 
@@ -186,9 +186,8 @@ def gpu_ttv(x, v: np.ndarray, mode: int, device: DeviceSpec, **kw) -> GpuRunResu
 def ttm_timing(x, u: np.ndarray, mode: int, device: DeviceSpec, **kw) -> KernelTiming:
     """COO/HiCOO-Ttm-GPU launch: 2-D thread blocks, x-dim = matrix
     columns for coalescing, y-dim = non-zeros (ParTI's kernel)."""
-    coo = x.to_coo() if isinstance(x, HiCOOTensor) else x
     r = u.shape[1]
-    lengths = coo.fiber_index(mode).fiber_lengths()
+    lengths = plans.fiber_lengths(x, mode)
     fibers_per_block = max(1, device.threads_per_block // max(r, 1))
     # 2-D blocks put R columns on the x-dim, so a warp only spans
     # 32/R fibers on the y-dim: divergence is much milder than Ttv's.
@@ -196,7 +195,7 @@ def ttm_timing(x, u: np.ndarray, mode: int, device: DeviceSpec, **kw) -> KernelT
         lengths, fibers_per_block, 4.0 * r + 8.0, 4.0 * r + 8.0,
         warp=max(1, 32 // max(r, 1)),
     )
-    ws = (4.0 * r + 8.0) * (coo.nnz + len(lengths)) + 4.0 * coo.shape[mode] * r
+    ws = (4.0 * r + 8.0) * (x.nnz + len(lengths)) + 4.0 * x.shape[mode] * r
     mem_s, imb, bw, res = memory_time(device, blocks, working_set_bytes=ws)
     return combine(device, mem_s, imb, bw, res, len(blocks))
 

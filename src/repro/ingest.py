@@ -777,7 +777,9 @@ class IngestBench:
             window_nnz=state.nnz,
             reblocks=self._blocker.reblocks,
             reblock_cache_hits=self._blocker.cache_hits,
-            state=state,
+            # The final window's arrays without the plans its queries
+            # cached: those stay on the window's snapshot and go with it.
+            state=COOTensor(state.shape, state.indices, state.values, copy=False, check=False),
         )
         result.records = self._build_records(result, collector)
         _LOG.info(

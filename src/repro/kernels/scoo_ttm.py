@@ -15,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import FormatError, ShapeError
-from repro.kernels.ttv import fiber_reduce, sorted_fibers
+from repro.kernels.plans import sorted_fibers
+from repro.kernels.ttv import fiber_reduce
 from repro.parallel.backend import get_backend
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.scoo import SemiCOOTensor

@@ -24,13 +24,8 @@ from repro.sptensor.hicoo import HiCOOTensor
 from repro.sptensor.scoo import SemiCOOTensor
 from repro.sptensor.shicoo import SemiHiCOOTensor
 from repro.kernels.contract import Access, declares_output
-from repro.kernels.ttv import (
-    coo_fibers,
-    fiber_ghicoo,
-    fiber_mode,
-    fiber_reduce,
-    ghicoo_fibers,
-)
+from repro.kernels.plans import fiber_plan
+from repro.kernels.ttv import fiber_mode, fiber_reduce
 
 
 def _check_matrix(x_shape, u: np.ndarray, mode: int) -> np.ndarray:
@@ -61,8 +56,9 @@ def coo_ttm(
     )
     dtype = np.result_type(x.values, u)
 
-    # Pre-processing (sparse-dense property): fibers + output allocation.
-    perm, fib = coo_fibers(x, mode)
+    # Pre-processing (sparse-dense property): fibers (cached, untimed) +
+    # output allocation.
+    perm, fib, _, _ = fiber_plan(x, mode)
     out_inds = x.indices[fib.heads][:, other]
     out_vals = np.zeros((len(fib.heads), r), dtype=dtype)
 
@@ -75,38 +71,39 @@ def coo_ttm(
 
 @declares_output(Access.DISJOINT)
 def ghicoo_ttm(
-    x: GHiCOOTensor,
+    x: "GHiCOOTensor | HiCOOTensor",
     u: np.ndarray,
     mode: int,
     backend: "Backend | str | None" = None,
 ) -> SemiHiCOOTensor:
-    """Ttm on a gHiCOO tensor with the product mode uncompressed.
+    """Ttm on a gHiCOO tensor with the product mode uncompressed (a HiCOO
+    input is re-represented so by its cached fiber plan).
 
     Mirrors :func:`repro.kernels.ttv.ghicoo_ttv`: fibers are runs of equal
     block/element coordinates, the value loop is shared with COO-Ttm, and
     the output reuses the input's block structure in sHiCOO format.
     """
     mode = fiber_mode(mode, x.nmodes)
-    out_bptr, fib = ghicoo_fibers(x, mode)
     u = _check_matrix(x.shape, u, mode)
     backend = get_backend(backend)
+    _, fib, g, out_bptr = fiber_plan(x, mode)
     r = u.shape[1]
     out_shape = tuple(
-        r if m == mode else x.shape[m] for m in range(x.nmodes)
+        r if m == mode else g.shape[m] for m in range(g.nmodes)
     )
-    dtype = np.result_type(x.values, u)
+    dtype = np.result_type(g.values, u)
     out_vals = np.zeros((len(fib.heads), r), dtype=dtype)
 
-    contrib = x.values.astype(dtype, copy=False)[:, None] * u[fib.col, :]
+    contrib = g.values.astype(dtype, copy=False)[:, None] * u[fib.col, :]
     fiber_reduce(contrib, fib.fptr, out_vals, backend, "ttm", "ghicoo")
 
     return SemiHiCOOTensor(
         out_shape,
-        x.block_size,
+        g.block_size,
         (mode,),
         out_bptr,
-        x.binds,
-        x.einds[fib.heads],
+        g.binds,
+        g.einds[fib.heads],
         out_vals,
         check=False,
     )
@@ -119,5 +116,6 @@ def hicoo_ttm(
     mode: int,
     backend: "Backend | str | None" = None,
 ) -> SemiHiCOOTensor:
-    """HiCOO-Ttm: gHiCOO re-representation (pre-processing) + shared loop."""
-    return ghicoo_ttm(fiber_ghicoo(x, mode), u, mode, backend)
+    """HiCOO-Ttm: gHiCOO re-representation (the cached pre-processing) +
+    the shared loop of :func:`ghicoo_ttm`."""
+    return ghicoo_ttm(x, u, mode, backend)

@@ -11,15 +11,12 @@ parallel loop then reduces each fiber independently.
 
 This module also holds the fiber lowering Ttv and Ttm (sCOO-Ttm too)
 share on every format: :func:`fiber_mode` validates the product mode,
-:func:`sorted_fibers` forms the fibers of a sorted entry stream (which
-:func:`coo_fibers` and :func:`ghicoo_fibers` produce per format),
-:func:`fiber_ghicoo` is the HiCOO pre-processing step, and
-:func:`fiber_reduce` is the one timed loop.
+:func:`repro.kernels.plans.fiber_plan` is the pre-processing, built once
+per tensor and mode and cached on the tensor, and :func:`fiber_reduce` is
+the one timed loop.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,25 +24,12 @@ from repro.errors import ShapeError
 from repro.obs.registry import get_metrics
 from repro.obs.tracer import CAT_KERNEL, current_tracer
 from repro.kernels.contract import Access, declares_output
+from repro.kernels.plans import fiber_plan
 from repro.parallel.backend import Backend, get_backend
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.ghicoo import GHiCOOTensor
 from repro.sptensor.hicoo import HiCOOTensor
 from repro.util.validation import check_mode
-
-
-class Fibers(NamedTuple):
-    """The fibers of a sorted entry stream.
-
-    ``fptr`` is the ``(MF + 1,)`` int64 start offset of each fiber in the
-    stream, ``heads`` the storage position of each fiber's first entry
-    (the entry whose other coordinates the output keeps), and ``col`` the
-    product-mode index of every entry, gathered into stream order.
-    """
-
-    fptr: np.ndarray
-    heads: np.ndarray
-    col: np.ndarray
 
 
 def _check_vector(x_shape, v: np.ndarray, mode: int) -> np.ndarray:
@@ -67,69 +51,6 @@ def fiber_mode(mode: int, nmodes: int) -> int:
             "contracted away)"
         )
     return mode
-
-
-def sorted_fibers(
-    keys: Sequence[np.ndarray],
-    col: np.ndarray,
-    order: np.ndarray | None = None,
-) -> Fibers:
-    """Form the fibers of a sorted entry stream (Algorithm 1, line 1).
-
-    The stream is the entries taken in ``order`` (storage order when
-    ``None``), sorted so that each fiber is one contiguous run.  ``keys``
-    are per-entry arrays in stream order that are jointly constant within
-    a fiber and differ between neighbouring fibers; ``col`` is the
-    product-mode index column in storage order.
-    """
-    m = len(col)
-    change = np.zeros(m, dtype=bool)
-    change[:1] = True
-    for key in keys:
-        change[1:] |= key[1:] != key[:-1]
-    starts = np.flatnonzero(change)
-    fptr = np.append(starts, m).astype(np.int64)
-    if order is None:
-        return Fibers(fptr, starts, col.astype(np.int64, copy=False))
-    return Fibers(fptr, order[starts], col[order])
-
-
-def coo_fibers(x: COOTensor, mode: int) -> tuple[np.ndarray, Fibers]:
-    """COO pre-processing: sort with ``mode`` varying fastest, form fibers.
-
-    Returns the sort permutation and the fibers of the sorted stream.
-    """
-    rest = [m for m in range(x.nmodes) if m != mode]
-    lin = x.linearize(rest + [mode])
-    perm = np.argsort(lin, kind="stable")
-    rest_key = lin[perm] // np.int64(x.shape[mode])
-    return perm, sorted_fibers((rest_key,), x.index_column(mode), perm)
-
-
-def ghicoo_fibers(x: GHiCOOTensor, mode: int) -> tuple[np.ndarray, Fibers]:
-    """gHiCOO pre-processing: fibers are runs of equal (block, element
-    coordinates), since entries are block- then element-ordered and only
-    the product mode is uncompressed — so no fiber spans blocks.
-
-    Returns each block's first fiber (the ``bptr`` of an output that
-    keeps the input's blocks) and the fibers of the storage stream.
-    """
-    if x.uncompressed_modes != (mode,):
-        raise ShapeError(
-            f"gHiCOO Ttv/Ttm expect exactly the product mode {mode} "
-            f"uncompressed, got uncompressed modes {x.uncompressed_modes}"
-        )
-    bid = np.repeat(np.arange(x.nblocks, dtype=np.int64), np.diff(x.bptr))
-    fib = sorted_fibers((bid,) + tuple(x.einds.T), x.uncompressed_column(mode))
-    return np.searchsorted(fib.heads, x.bptr).astype(np.int64), fib
-
-
-def fiber_ghicoo(x: HiCOOTensor, mode: int) -> GHiCOOTensor:
-    """HiCOO pre-processing of Ttv/Ttm: re-represent ``x`` as gHiCOO with
-    only the product mode uncompressed (paper Sec. 3.4.1)."""
-    mode = fiber_mode(mode, x.nmodes)
-    comp = tuple(m for m in range(x.nmodes) if m != mode)
-    return GHiCOOTensor.from_coo(x.to_coo(), x.block_size, comp)
 
 
 def fiber_reduce(
@@ -199,8 +120,8 @@ def coo_ttv(
     other = [m for m in range(x.nmodes) if m != mode]
     out_shape = tuple(x.shape[m] for m in other)
 
-    # Pre-processing: fiber pointers + output allocation (untimed).
-    perm, fib = coo_fibers(x, mode)
+    # Pre-processing: fiber pointers (cached, untimed) + output allocation.
+    perm, fib, _, _ = fiber_plan(x, mode)
     dtype = np.result_type(x.values, v)
     out_vals = np.zeros(len(fib.heads), dtype=dtype)
     out_inds = x.indices[fib.heads][:, other]
@@ -214,12 +135,13 @@ def coo_ttv(
 
 @declares_output(Access.DISJOINT)
 def ghicoo_ttv(
-    x: GHiCOOTensor,
+    x: "GHiCOOTensor | HiCOOTensor",
     v: np.ndarray,
     mode: int,
     backend: "Backend | str | None" = None,
 ) -> HiCOOTensor:
-    """Ttv on a gHiCOO tensor whose product mode is left *uncompressed*.
+    """Ttv on a gHiCOO tensor whose product mode is left *uncompressed*
+    (a HiCOO input is re-represented so by its cached fiber plan).
 
     Because blocks are formed over exactly the non-product modes, a fiber
     never spans blocks and the blocked structure passes straight through to
@@ -229,22 +151,22 @@ def ghicoo_ttv(
     coordinates.
     """
     mode = fiber_mode(mode, x.nmodes)
-    out_bptr, fib = ghicoo_fibers(x, mode)
     v = _check_vector(x.shape, v, mode)
     backend = get_backend(backend)
-    out_shape = tuple(x.shape[mm] for mm in x.compressed_modes)
-    dtype = np.result_type(x.values, v)
-    if x.nnz == 0:
-        return HiCOOTensor.from_coo(COOTensor.empty(out_shape, dtype), x.block_size)
+    _, fib, g, out_bptr = fiber_plan(x, mode)
+    out_shape = tuple(g.shape[mm] for mm in g.compressed_modes)
+    dtype = np.result_type(g.values, v)
+    if g.nnz == 0:
+        return HiCOOTensor.from_coo(COOTensor.empty(out_shape, dtype), g.block_size)
     out_vals = np.zeros(len(fib.heads), dtype=dtype)
 
     # Timed loop: identical value computation to COO-Ttv.
-    contrib = x.values.astype(dtype, copy=False) * v[fib.col]
+    contrib = g.values.astype(dtype, copy=False) * v[fib.col]
     fiber_reduce(contrib, fib.fptr, out_vals, backend, "ttv", "ghicoo")
 
     # Assemble the HiCOO output reusing the input's block structure.
     out = HiCOOTensor(
-        out_shape, x.block_size, out_bptr, x.binds, x.einds[fib.heads],
+        out_shape, g.block_size, out_bptr, g.binds, g.einds[fib.heads],
         out_vals, check=False,
     )
     return _drop_empty_blocks(out)
@@ -257,9 +179,10 @@ def hicoo_ttv(
     mode: int,
     backend: "Backend | str | None" = None,
 ) -> HiCOOTensor:
-    """HiCOO-Ttv: re-represent as gHiCOO with the product mode uncompressed
-    (pre-processing, as in the paper), then run the shared value loop."""
-    return ghicoo_ttv(fiber_ghicoo(x, mode), v, mode, backend)
+    """HiCOO-Ttv: the gHiCOO re-representation with the product mode
+    uncompressed is the cached pre-processing, as in the paper; then the
+    shared value loop of :func:`ghicoo_ttv`."""
+    return ghicoo_ttv(x, v, mode, backend)
 
 
 def _drop_empty_blocks(t: HiCOOTensor) -> HiCOOTensor:

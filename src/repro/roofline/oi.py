@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.types import DEFAULT_BLOCK_SIZE, DEFAULT_RANK, Format, Kernel
 from repro.kernels.flops import KernelCost, kernel_cost
+from repro.kernels.plans import fiber_lengths
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.hicoo import HiCOOTensor
 
@@ -61,7 +62,7 @@ def extract_features(
         hicoo = HiCOOTensor.from_coo(tensor, block_size)
     mf, imb, cont = [], [], []
     for m in range(tensor.nmodes):
-        lengths = tensor.fiber_index(m).fiber_lengths()
+        lengths = fiber_lengths(tensor, m)
         mf.append(int(len(lengths)))
         if len(lengths):
             imb.append(float(lengths.max() / lengths.mean()))

@@ -1,7 +1,7 @@
 """Sparse tensor formats: COO, sCOO, HiCOO, gHiCOO, sHiCOO, CSF."""
 
 from repro.sptensor.bcsf import BCSFTensor, VirtualRoot, bcsf_mttkrp
-from repro.sptensor.coo import COOTensor, FiberIndex, stack_entries
+from repro.sptensor.coo import COOTensor, stack_entries
 from repro.sptensor.convert import as_format, to_coo
 from repro.sptensor.csf import CSFTensor
 from repro.sptensor.dense import (
@@ -47,7 +47,6 @@ from repro.sptensor.shicoo import SemiHiCOOTensor
 
 __all__ = [
     "COOTensor",
-    "FiberIndex",
     "stack_entries",
     "HiCOOTensor",
     "GHiCOOTensor",

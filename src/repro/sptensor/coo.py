@@ -25,42 +25,6 @@ from repro.util.validation import (
 )
 
 
-class FiberIndex:
-    """Pointers into a mode-sorted COO tensor delimiting its mode-``n`` fibers.
-
-    A mode-``n`` fiber is the vector obtained by fixing every index except
-    mode ``n``.  After sorting the tensor so that mode ``n`` varies fastest,
-    the non-zeros of each fiber are contiguous; ``fptr`` records where each
-    fiber begins, exactly like the pre-processing step of COO-Ttv-OMP
-    (paper Algorithm 1, line 1).
-
-    Attributes
-    ----------
-    mode:
-        The fiber mode ``n``.
-    fptr:
-        ``(MF + 1,)`` int64 array; fiber ``f`` spans entries
-        ``fptr[f]:fptr[f+1]`` of the sorted tensor.
-    order:
-        The permutation that sorted the parent tensor (mode ``n`` fastest).
-    """
-
-    __slots__ = ("mode", "fptr", "order")
-
-    def __init__(self, mode: int, fptr: np.ndarray, order: np.ndarray):
-        self.mode = mode
-        self.fptr = fptr
-        self.order = order
-
-    @property
-    def nfibers(self) -> int:
-        return len(self.fptr) - 1
-
-    def fiber_lengths(self) -> np.ndarray:
-        """Non-zeros per fiber — the source of Ttv/Ttm load imbalance."""
-        return np.diff(self.fptr)
-
-
 class COOTensor:
     """A general sparse tensor in coordinate format.
 
@@ -119,8 +83,9 @@ class COOTensor:
         self.values = np.array(values) if copy else np.asarray(values)
         self._sort_order: tuple[int, ...] | None = None
         self._index_cols: dict[int, np.ndarray] = {}
-        # Cached scatter plans (repro.kernels.plans); entry-order
-        # dependent, so invalidated together with the index-column cache.
+        # Cached scatter, owner and fiber plans (repro.kernels.plans);
+        # entry-order dependent, so invalidated together with the
+        # index-column cache.
         self._plan_cache: dict = {}
 
     # ------------------------------------------------------------------ #
@@ -150,13 +115,8 @@ class COOTensor:
         return (self.nmodes * INDEX_BYTES + VALUE_BYTES) * self.nnz
 
     @property
-    def nbytes_actual(self) -> int:
-        """Actual in-memory bytes of the backing arrays."""
-        return self.indices.nbytes + self.values.nbytes
-
-    @property
     def cache_nbytes(self) -> int:
-        """Bytes held by the index-column and scatter-plan caches."""
+        """Bytes held by the index-column and plan caches."""
         return sum(c.nbytes for c in self._index_cols.values()) + sum(
             p.nbytes for p in self._plan_cache.values()
         )
@@ -339,37 +299,6 @@ class COOTensor:
     def has_duplicates(self) -> bool:
         lin = self.linearize()
         return len(np.unique(lin)) != self.nnz
-
-    # ------------------------------------------------------------------ #
-    # Fibers
-    # ------------------------------------------------------------------ #
-    def fiber_index(self, mode: int) -> FiberIndex:
-        """Sort so mode ``mode`` varies fastest and compute fiber pointers.
-
-        This is the pre-processing stage shared by Ttv and Ttm (paper
-        Algorithm 1 line 1): it yields ``MF`` fibers, each a contiguous run
-        of entries, without mutating ``self`` (the permutation is returned
-        inside the :class:`FiberIndex`).
-        """
-        mode = check_mode(mode, self.nmodes)
-        rest = [m for m in range(self.nmodes) if m != mode]
-        order = tuple(rest) + (mode,)
-        lin = self.linearize(order)
-        perm = np.argsort(lin, kind="stable")
-        if self.nnz == 0:
-            return FiberIndex(mode, np.zeros(1, dtype=np.int64), perm)
-        # Fiber boundaries: where the 'rest' part of the key changes.  The
-        # rest-key is lin // shape[mode].
-        rest_key = lin[perm] // np.int64(self.shape[mode])
-        change = np.flatnonzero(np.diff(rest_key)) + 1
-        fptr = np.concatenate(
-            ([0], change, [self.nnz])
-        ).astype(np.int64)
-        return FiberIndex(mode, fptr, perm)
-
-    def num_fibers(self, mode: int) -> int:
-        """``MF``: count of non-empty mode-``mode`` fibers."""
-        return self.fiber_index(mode).nfibers
 
     # ------------------------------------------------------------------ #
     # Comparison / export

@@ -93,8 +93,9 @@ class HiCOOTensor:
         self.values = np.asarray(values)
         self._entry_bids: np.ndarray | None = None
         self._global_rows: dict[int, np.ndarray] = {}
-        # Cached scatter plans (repro.kernels.plans); HiCOO is immutable
-        # after build, so the cache lives for the tensor's lifetime.
+        # Cached scatter, owner and fiber plans (repro.kernels.plans);
+        # HiCOO is immutable after build, so the cache lives for the
+        # tensor's lifetime.
         self._plan_cache: dict = {}
         if check:
             self._validate()
@@ -153,7 +154,7 @@ class HiCOOTensor:
 
     @property
     def cache_nbytes(self) -> int:
-        """Bytes held by the block-id, global-row and scatter-plan caches."""
+        """Bytes held by the block-id, global-row and plan caches."""
         cached = list(self._global_rows.values())
         if self._entry_bids is not None:
             cached.append(self._entry_bids)
@@ -248,10 +249,6 @@ class HiCOOTensor:
             col.setflags(write=False)
             self._global_rows[mode] = col
         return col
-
-    def block_slice(self, b: int) -> slice:
-        """Entry range of block ``b``."""
-        return slice(int(self.bptr[b]), int(self.bptr[b + 1]))
 
     def copy(self) -> "HiCOOTensor":
         return HiCOOTensor(

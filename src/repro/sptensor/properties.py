@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.kernels.plans import fiber_lengths
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.hicoo import HiCOOTensor
 from repro.util.validation import check_mode
@@ -38,7 +39,7 @@ class FiberStats:
 def fiber_stats(tensor: COOTensor, mode: int) -> FiberStats:
     """Fiber-length distribution along ``mode`` (drives Ttv/Ttm balance)."""
     mode = check_mode(mode, tensor.nmodes)
-    lengths = tensor.fiber_index(mode).fiber_lengths()
+    lengths = fiber_lengths(tensor, mode)
     if len(lengths) == 0:
         return FiberStats(mode, 0, 0.0, 0, 0, 0.0)
     return FiberStats(

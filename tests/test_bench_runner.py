@@ -156,9 +156,10 @@ class TestSeeding:
         assert bundle.nbytes == bare
 
         def held() -> int:
-            """Bytes of the bundle, the launch models' fiber indexes aside."""
+            """Bytes of the bundle, its cached fiber plans aside."""
             return bundle.nbytes - bundle.coo.cache_nbytes - bundle.hicoo.cache_nbytes
 
+        bare = held()
         # A simulated GPU case reads only the operands' shapes.
         for kernel in (Kernel.TTV, Kernel.MTTKRP):
             SuiteRunner(DGX_1V, cfg).run_kernel(bundle, kernel, Format.COO)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.kernels import coo_mttkrp, coo_ttv
+from repro.kernels.plans import fiber_plan
 from repro.parallel import ChaosBackend, ChaosError, OpenMPBackend, SequentialBackend
 from repro.sptensor import COOTensor
 
@@ -121,18 +122,19 @@ class TestWorkerChurnRegressionTrap:
 
     def test_fixed_pool_survives_total_churn(self, tensor):
         # Fiber sums over 8-fiber dynamic chunks, each on a fresh thread.
-        fi = tensor.fiber_index(1)
-        vals = tensor.values[fi.order].astype(np.float64)
-        starts = fi.fptr[:-1]
+        plan = fiber_plan(tensor, 1)
+        fptr = plan.fibers.fptr
+        vals = tensor.values[plan.perm].astype(np.float64)
+        starts = fptr[:-1]
 
         def reduce_fibers(backend):
-            out = np.zeros(fi.nfibers)
+            out = np.zeros(plan.nfibers)
 
             def body(lo, hi):
-                seg = vals[starts[lo]:fi.fptr[hi]]
+                seg = vals[starts[lo]:fptr[hi]]
                 out[lo:hi] = np.add.reduceat(seg, starts[lo:hi] - starts[lo])
 
-            backend.parallel_for(fi.nfibers, body, schedule="dynamic", chunk=8)
+            backend.parallel_for(plan.nfibers, body, schedule="dynamic", chunk=8)
             return out
 
         ref = reduce_fibers(SequentialBackend())

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bench.runner import RunnerConfig, TensorBundle
+from repro.bench.runner import RunnerConfig, SuiteRunner, TensorBundle
 from repro.kernels import (
     coo_mttkrp,
     coo_tew,
@@ -32,7 +32,14 @@ from repro.kernels import (
     hicoo_ttv,
 )
 from repro.kernels import plans
-from repro.kernels.plans import cached_plan, owner_plan, scatter_plan
+from repro.kernels import dense_ttv
+from repro.kernels.plans import (
+    cached_plan,
+    fiber_lengths,
+    fiber_plan,
+    owner_plan,
+    scatter_plan,
+)
 from repro.obs.registry import get_metrics
 from repro.parallel import (
     ChaosBackend,
@@ -40,7 +47,9 @@ from repro.parallel import (
     RaceCheckBackend,
     SequentialBackend,
 )
+from repro.roofline import DGX_1V
 from repro.sptensor import COOTensor, GHiCOOTensor, HiCOOTensor
+from repro.types import Format, Kernel
 from tests.conftest import random_mats
 
 RANK = 5
@@ -381,8 +390,82 @@ class TestPlansAndStats:
             coo_mttkrp(bundle.coo, mats, 1, be)
         finally:
             be.shutdown()
-        (part,) = bundle.coo._plan_cache.values()
+        part = bundle.coo._plan_cache[("owner", 1, 2)]
         assert bundle.nbytes == before + part.nbytes > before
+
+
+class TestFiberPlans:
+    @pytest.mark.parametrize("fmt", ["coo", "hicoo"])
+    def test_second_ttv_ttm_call_builds_no_plan(self, fmt):
+        metrics = get_metrics()
+        x = _tensor(np.float64)
+        t = x if fmt == "coo" else _hicoo(x)
+        ttv, ttm = (coo_ttv, coo_ttm) if fmt == "coo" else (hicoo_ttv, hicoo_ttm)
+        v, u = np.ones(x.shape[1]), np.ones((x.shape[1], RANK))
+
+        def builds() -> float:
+            return metrics.counter_value("plan.builds", what="fibers")
+
+        before = builds()
+        first = ttv(t, v, 1, "sequential")
+        assert builds() == before + 1
+        second = ttv(t, v, 1, "sequential")
+        ttm(t, u, 1, "sequential")
+        assert builds() == before + 1
+        assert np.array_equal(first.values, second.values)
+        assert list(t._plan_cache) == [("fibers", 1)]
+
+    def test_sort_drops_fiber_plans(self):
+        x = _tensor(np.float64)
+        v = np.random.default_rng(18).random(x.shape[1])
+        want = dense_ttv(x.to_dense(), v, 1)
+        coo_ttv(x, v, 1, "sequential")
+        assert ("fibers", 1) in x._plan_cache
+        x.sort((2, 0, 1))
+        assert x._plan_cache == {}
+        got = coo_ttv(x, v, 1, "sequential")
+        np.testing.assert_allclose(got.to_dense(), want, rtol=1e-12)
+        assert ("fibers", 1) in x._plan_cache
+
+    def test_lengths_in_coo_fiber_order_on_every_format(self):
+        # The GPU launch models group fibers into thread blocks in COO
+        # order on both formats.
+        x = _tensor(np.float32)
+        h = _hicoo(x)
+        g = GHiCOOTensor.from_coo(x, 8, (0, 2))
+        for mode in range(x.nmodes):
+            want = np.diff(fiber_plan(x, mode).fibers.fptr)
+            assert np.array_equal(fiber_lengths(x, mode), want)
+            assert np.array_equal(fiber_lengths(h, mode), want)
+        assert np.array_equal(fiber_lengths(g, 1), np.diff(fiber_plan(x, 1).fibers.fptr))
+
+    def test_models_and_features_cache_only_lengths(self):
+        bundle = TensorBundle.prepare("t", _tensor(np.float32), RunnerConfig())
+        lengths = [("lengths", m) for m in range(3)]
+        assert list(bundle.coo._plan_cache) == lengths  # the OI features
+        with_lengths = bundle.nbytes
+        coo_bytes = sum(a.nbytes for a in bundle.coo._plan_cache.values())
+        bundle.coo._plan_cache.clear()
+        assert with_lengths == bundle.nbytes + coo_bytes
+        h = bundle.hicoo
+        runner = SuiteRunner(DGX_1V, RunnerConfig(measure_host=False))
+        runner.run_kernel(bundle.shapes_only(), Kernel.TTV, Format.HICOO)  # launch model
+        assert list(h._plan_cache) == lengths
+
+    def test_bundle_nbytes_counts_fiber_plan_arrays(self):
+        bundle = TensorBundle.prepare("t", _tensor(np.float32), RunnerConfig())
+        # A HiCOO plan holds a gHiCOO copy; its bytes are the copy's real
+        # arrays, not GHiCOOTensor.nbytes (the paper's storage model).
+        h = bundle.hicoo
+        h.to_coo()  # caches the global rows the plan build reads
+        before = bundle.nbytes
+        plan = fiber_plan(h, 1)
+        g = plan.ghicoo
+        arrays = (*plan.fibers, plan.bptr, g.bptr, g.binds, g.einds, g.cinds, g.values)
+        assert bundle.nbytes == before + sum(a.nbytes for a in arrays)
+        before = bundle.nbytes
+        plan = fiber_plan(bundle.coo, 1)
+        assert bundle.nbytes == before + sum(a.nbytes for a in (plan.perm, *plan.fibers))
 
 
 class TestScatterRows:

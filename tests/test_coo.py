@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
+from repro.kernels.plans import fiber_lengths, fiber_plan
 from repro.sptensor import COOTensor, stack_entries
 
 
@@ -134,30 +135,32 @@ class TestCoalesce:
 
 
 class TestFiberIndex:
+    """The COO fiber plan and fiber lengths (``repro.kernels.plans``)."""
+
     def test_counts_match_dense(self, coo3, dense3):
         for mode in range(3):
-            fi = coo3.fiber_index(mode)
+            plan = fiber_plan(coo3, mode)
             # count non-empty fibers from the dense array
             moved = np.moveaxis(dense3, mode, -1)
             dense_fibers = int((np.abs(moved).sum(axis=-1) > 0).sum())
-            assert fi.nfibers == dense_fibers
+            assert plan.nfibers == dense_fibers
 
     def test_fiber_lengths_sum_to_nnz(self, coo4):
         for mode in range(4):
-            fi = coo4.fiber_index(mode)
-            assert fi.fiber_lengths().sum() == coo4.nnz
+            assert fiber_lengths(coo4, mode).sum() == coo4.nnz
 
     def test_fibers_share_other_coords(self, coo3):
-        fi = coo3.fiber_index(1)
-        inds = coo3.indices[fi.order]
-        for f in range(min(fi.nfibers, 20)):
-            seg = inds[fi.fptr[f]:fi.fptr[f + 1]]
+        plan = fiber_plan(coo3, 1)
+        inds = coo3.indices[plan.perm]
+        fptr = plan.fibers.fptr
+        for f in range(min(plan.nfibers, 20)):
+            seg = inds[fptr[f]:fptr[f + 1]]
             assert (seg[:, 0] == seg[0, 0]).all()
             assert (seg[:, 2] == seg[0, 2]).all()
 
     def test_empty_tensor(self):
-        fi = COOTensor.empty((3, 3)).fiber_index(0)
-        assert fi.nfibers == 0
+        plan = fiber_plan(COOTensor.empty((3, 3)), 0)
+        assert plan.nfibers == 0
 
 
 class TestComparison:

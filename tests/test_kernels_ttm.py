@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ShapeError
 from repro.kernels import coo_ttm, dense_ttm, ghicoo_ttm, hicoo_ttm, ttm
+from repro.kernels.plans import fiber_plan
 from repro.parallel import OpenMPBackend
 from repro.sptensor import (
     COOTensor,
@@ -41,7 +42,7 @@ class TestCooTtm:
         out = coo_ttm(coo3, u, 1)
         assert out.dense_modes == (1,)
         assert out.shape == (coo3.shape[0], 4, coo3.shape[2])
-        assert out.nnz_sparse == coo3.num_fibers(1)
+        assert out.nnz_sparse == fiber_plan(coo3, 1).nfibers
 
     def test_rank_one_matrix_matches_ttv(self, coo3):
         """Ttm with an R=1 matrix is Ttv with an extra unit mode."""

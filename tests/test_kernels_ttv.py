@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ShapeError
 from repro.kernels import coo_ttm, coo_ttv, dense_ttv, ghicoo_ttv, hicoo_ttm, hicoo_ttv, ttv
+from repro.kernels.plans import fiber_plan
 from repro.parallel import OpenMPBackend, SequentialBackend
 from repro.sptensor import COOTensor, GHiCOOTensor, HiCOOTensor
 from repro.types import Schedule
@@ -41,7 +42,7 @@ class TestCooTtv:
         """The sparse-dense property: one output non-zero per fiber."""
         v = np.ones(coo3.shape[2], dtype=np.float64)
         out = coo_ttv(coo3, v, 2)
-        assert out.nnz == coo3.num_fibers(2)
+        assert out.nnz == fiber_plan(coo3, 2).nfibers
 
     def test_negative_mode(self, coo3, dense3):
         v = vec_for(coo3.shape, 2)

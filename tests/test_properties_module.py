@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.kernels.plans import fiber_plan
 from repro.sptensor import (
     COOTensor,
     HiCOOTensor,
@@ -17,7 +18,7 @@ from repro.sptensor import (
 class TestFiberStats:
     def test_lengths_consistent(self, coo3):
         st = fiber_stats(coo3, 0)
-        assert st.nfibers == coo3.num_fibers(0)
+        assert st.nfibers == fiber_plan(coo3, 0).nfibers
         assert st.min_len >= 1
         assert st.max_len >= st.min_len
         assert st.mean_len * st.nfibers == pytest.approx(coo3.nnz)

@@ -31,6 +31,7 @@ from repro.kernels import (
     hicoo_ttm,
     hicoo_ttv,
 )
+from repro.kernels.plans import fiber_lengths, fiber_plan
 from repro.sptensor import (
     COOTensor,
     CSFTensor,
@@ -131,9 +132,9 @@ class TestStructuralInvariants:
     @settings(max_examples=40, deadline=None)
     def test_fiber_index_partitions(self, t):
         for mode in range(t.nmodes):
-            fi = t.fiber_index(mode)
-            assert fi.fptr[0] == 0 and fi.fptr[-1] == t.nnz
-            assert fi.fiber_lengths().sum() == t.nnz
+            plan = fiber_plan(t, mode)
+            assert plan.fibers.fptr[0] == 0 and plan.fibers.fptr[-1] == t.nnz
+            assert fiber_lengths(t, mode).sum() == t.nnz
 
     @given(sparse_tensors())
     @settings(max_examples=40, deadline=None)

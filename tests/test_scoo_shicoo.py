@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import FormatError, ShapeError
+from repro.kernels.plans import fiber_plan
 from repro.sptensor import COOTensor, SemiCOOTensor, SemiHiCOOTensor
 
 
@@ -23,7 +24,7 @@ class TestSemiCOO:
 
     def test_sparse_nnz_counts_fibers(self, coo3):
         sc = SemiCOOTensor.from_coo(coo3, (2,))
-        assert sc.nnz_sparse == coo3.num_fibers(2)
+        assert sc.nnz_sparse == fiber_plan(coo3, 2).nfibers
 
     def test_total_nnz(self, coo3):
         sc = SemiCOOTensor.from_coo(coo3, (2,))
