@@ -37,7 +37,9 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.bench.runner import (
     RunnerConfig,
@@ -229,6 +231,57 @@ def prepare_bundle(case: SweepCase) -> TensorBundle:
     return TensorBundle.prepare(case.tensor, tensor, case.runner_config())
 
 
+#: Bytes of prepared tensor arrays one bundle cache keeps resident.
+BUNDLE_CACHE_BYTES = 128 << 20
+
+
+class BundleCache:
+    """Prepared tensor bundles, least recently used evicted first.
+
+    The key is every input of the preparation: tensor name, tensor spec,
+    base seed, block size and rank.  Sizes are taken at each miss, not
+    at insertion, because a bundle grows when a kernel first draws its
+    operands or caches index columns and plans on its tensors.  A bundle
+    larger than the whole budget is prepared and used but not kept.
+
+    Every :class:`CaseRunner` owns one, and so does each pooled worker
+    process, so a tensor is materialized once per sweep, daemon or
+    worker, not once per case.  Kernels only read a bundle, so a reused
+    bundle yields the same record as a fresh one.  :meth:`get` holds a
+    lock while it prepares, so threads that want the same new tensor
+    build it once.
+    """
+
+    def __init__(self, budget_bytes: int = BUNDLE_CACHE_BYTES):
+        self.budget_bytes = budget_bytes
+        self._bundles: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._bundles)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(b.nbytes for b in self._bundles.values())
+
+    def get(self, case: SweepCase) -> TensorBundle:
+        """The case's prepared bundle, from the cache or freshly built."""
+        key = (case.tensor, case.tensor_spec, case.base_seed, case.block_size, case.rank)
+        with self._lock:
+            bundle = self._bundles.get(key)
+            if bundle is not None:
+                self._bundles.move_to_end(key)
+                return bundle
+            bundle = prepare_bundle(case)
+            if bundle.nbytes <= self.budget_bytes:
+                total = self.nbytes + bundle.nbytes
+                while total > self.budget_bytes:
+                    _, evicted = self._bundles.popitem(last=False)
+                    total -= evicted.nbytes
+                self._bundles[key] = bundle
+            return bundle
+
+
 def execute_case(
     case: SweepCase, attempt: int = 0, faults: "dict | None" = None, prepare=None
 ) -> PerfRecord:
@@ -238,9 +291,10 @@ def execute_case(
     into retry/quarantine decisions.  Injected ``fail_attempts`` faults
     raise :class:`~repro.parallel.chaos.ChaosError` here, through a real
     chaos backend, so the retry path is exercised end to end.
-    ``prepare`` maps the case to its :class:`TensorBundle`; it defaults
-    to :func:`prepare_bundle`, and a pooled worker passes its bundle
-    cache's lookup.
+    ``prepare`` maps the case to its :class:`TensorBundle`.  It defaults
+    to :func:`prepare_bundle`, a fresh bundle per call; inline attempts
+    and pooled workers pass :meth:`BundleCache.get`, so the cases of one
+    tensor share one bundle.
     """
     fault = match_fault(case, faults)
     if attempt < int(fault.get("fail_attempts", 0)):
@@ -325,6 +379,8 @@ class CaseRunner:
     def __init__(self, config: "ExecutorConfig | None" = None, sleep=time.sleep):
         self.config = config or ExecutorConfig()
         self._sleep = sleep
+        #: Inline attempts' prepared tensors, kept for this runner's life.
+        self.bundles = BundleCache()
 
     def backoff_s(self, attempt: int) -> float:
         """Exponential backoff before re-attempt ``attempt + 1``."""
@@ -423,11 +479,14 @@ class CaseRunner:
         return self._process_attempt(case, attempt, context)
 
     def _inline_attempt(self, case: SweepCase, attempt: int, context=None):
+        run = partial(
+            execute_case, case, attempt, self.config.faults, prepare=self.bundles.get
+        )
         try:
             if context is not None:
                 with activate_context(context):
-                    return execute_case(case, attempt, self.config.faults), None
-            return execute_case(case, attempt, self.config.faults), None
+                    return run(), None
+            return run(), None
         except Exception as exc:  # noqa: BLE001 - converted into a failure
             return None, {
                 "kind": FAIL_ERROR,

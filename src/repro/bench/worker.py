@@ -19,12 +19,11 @@ stderr, so a stray ``print`` (or a C library write) in a kernel lands in
 the stderr tail the parent keeps for crash details, never inside a
 verdict frame.
 
-Prepared :class:`~repro.bench.runner.TensorBundle` s stay resident in a
-least-recently-used :class:`BundleCache` bounded by
-:data:`BUNDLE_CACHE_BYTES`, keyed by everything the preparation depends
-on, so the cases of one tensor materialize and prepare it once per
-worker.  Kernels only read a bundle, so a reused bundle yields the same
-record as a fresh one.
+Prepared :class:`~repro.bench.runner.TensorBundle` s stay resident for
+the worker's life in one :class:`~repro.bench.executor.BundleCache`, the
+class every inline :class:`~repro.bench.executor.CaseRunner` also keeps,
+with the same :data:`~repro.bench.executor.BUNDLE_CACHE_BYTES` budget:
+the cases of one tensor materialize and prepare it once per worker.
 
 When a trace context rides in (payload ``trace`` key), the case runs
 under an installed :class:`~repro.obs.tracer.Tracer` carrying the
@@ -41,55 +40,11 @@ import json
 import os
 import sys
 import time
-from collections import OrderedDict
-
-#: Bytes of prepared tensor arrays one worker keeps resident.
-BUNDLE_CACHE_BYTES = 128 << 20
 
 
-class BundleCache:
-    """Prepared tensor bundles, least recently used evicted first.
-
-    The key is every input of the preparation: tensor name, tensor spec,
-    base seed, block size and rank.  Sizes are taken at each miss, not
-    at insertion, because a bundle grows when a kernel first draws its
-    operands or caches index columns and plans on its tensors.  A bundle
-    larger than the whole budget is prepared and
-    used but not kept.
-    """
-
-    def __init__(self, budget_bytes: int = BUNDLE_CACHE_BYTES):
-        self.budget_bytes = budget_bytes
-        self._bundles: OrderedDict = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._bundles)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(b.nbytes for b in self._bundles.values())
-
-    def get(self, case):
-        """The case's prepared bundle, from the cache or freshly built."""
-        from repro.bench.executor import prepare_bundle
-
-        key = (case.tensor, case.tensor_spec, case.base_seed, case.block_size, case.rank)
-        bundle = self._bundles.get(key)
-        if bundle is not None:
-            self._bundles.move_to_end(key)
-            return bundle
-        bundle = prepare_bundle(case)
-        if bundle.nbytes <= self.budget_bytes:
-            total = self.nbytes + bundle.nbytes
-            while total > self.budget_bytes:
-                _, evicted = self._bundles.popitem(last=False)
-                total -= evicted.nbytes
-            self._bundles[key] = bundle
-        return bundle
-
-
-def run_payload(payload: dict, bundles: BundleCache) -> dict:
-    """Run one case payload to its verdict dict (the worker's core)."""
+def run_payload(payload: dict, bundles) -> dict:
+    """Run one case payload to its verdict dict (the worker's core);
+    ``bundles`` is the worker's :class:`~repro.bench.executor.BundleCache`."""
     from repro.bench.executor import execute_case, match_fault
     from repro.bench.runner import SweepCase
     from repro.obs.context import TraceContext, install_context
@@ -171,6 +126,8 @@ def main(argv=None) -> int:
     frames = os.fdopen(os.dup(1), "w", encoding="utf-8")
     sys.stdout.flush()
     os.dup2(2, 1)
+    from repro.bench.executor import BundleCache
+
     bundles = BundleCache()
     for line in sys.stdin.buffer:
         verdict = run_payload(json.loads(line), bundles)

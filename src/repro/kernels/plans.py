@@ -278,6 +278,10 @@ def fiber_lengths(x, mode: int) -> np.ndarray:
     mode = check_mode(mode, x.nmodes)
 
     def build() -> np.ndarray:
+        if isinstance(x, HiCOOTensor):
+            # Not ``to_coo``: that caches the global rows on ``x``.
+            coo = COOTensor(x.shape, x.global_indices(), x.values, copy=False, check=False)
+            return np.diff(_coo_fiber_plan(coo, mode).fibers.fptr)
         if not isinstance(x, COOTensor):
             return np.diff(_coo_fiber_plan(x.to_coo(), mode).fibers.fptr)
         plan = getattr(x, "_plan_cache", {}).get(("fibers", mode))

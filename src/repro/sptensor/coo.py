@@ -116,10 +116,12 @@ class COOTensor:
 
     @property
     def cache_nbytes(self) -> int:
-        """Bytes held by the index-column and plan caches."""
-        return sum(c.nbytes for c in self._index_cols.values()) + sum(
-            p.nbytes for p in self._plan_cache.values()
-        )
+        """Bytes held by the index-column and plan caches.
+
+        The caches are snapshotted first: a kernel on another thread may
+        add to them while a bundle cache sizes this tensor."""
+        cached = list(self._index_cols.values()) + list(self._plan_cache.values())
+        return sum(c.nbytes for c in cached)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

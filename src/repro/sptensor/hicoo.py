@@ -154,13 +154,12 @@ class HiCOOTensor:
 
     @property
     def cache_nbytes(self) -> int:
-        """Bytes held by the block-id, global-row and plan caches."""
-        cached = list(self._global_rows.values())
+        """Bytes held by the block-id, global-row and plan caches
+        (snapshotted first, as :attr:`COOTensor.cache_nbytes` explains)."""
+        cached = list(self._global_rows.values()) + list(self._plan_cache.values())
         if self._entry_bids is not None:
             cached.append(self._entry_bids)
-        return sum(c.nbytes for c in cached) + sum(
-            p.nbytes for p in self._plan_cache.values()
-        )
+        return sum(c.nbytes for c in cached)
 
     def compression_ratio(self) -> float:
         """COO bytes divided by HiCOO bytes for the same tensor (>1 is a win)."""
@@ -210,11 +209,10 @@ class HiCOOTensor:
         return cls(tensor.shape, block_size, bptr, binds, ecoords, values, check=False)
 
     def to_coo(self) -> COOTensor:
-        """Expand back to COO: ``index = bind * B + eind`` per entry."""
-        out = COOTensor(
-            self.shape, self.global_indices(), self.values, copy=False, check=False
-        )
-        return out
+        """Expand back to COO: ``index = bind * B + eind`` per entry, from
+        the cached per-mode :meth:`global_row` columns."""
+        inds = np.stack([self.global_row(m) for m in range(self.nmodes)], axis=1)
+        return COOTensor(self.shape, inds, self.values, copy=False, check=False)
 
     def entry_block_ids(self) -> np.ndarray:
         """``(M,)`` map from entry to its owning block id (cached).
@@ -262,9 +260,10 @@ class HiCOOTensor:
         )
 
     def global_indices(self) -> np.ndarray:
-        """``(M, N)`` int64 reconstructed global coordinates (block-ordered)."""
-        if self.nnz == 0:
-            return np.empty((0, self.nmodes), dtype=np.int64)
-        return np.stack(
-            [self.global_row(m) for m in range(self.nmodes)], axis=1
-        )
+        """``(M, N)`` int64 reconstructed global coordinates (block-ordered).
+
+        Computed afresh, filling no cache: a launch model or statistic
+        that reads them leaves no per-entry state on a tensor that may
+        live for a whole sweep."""
+        bid = np.repeat(np.arange(self.nblocks, dtype=np.int64), np.diff(self.bptr))
+        return self.binds[bid].astype(np.int64) * np.int64(self.block_size) + self.einds

@@ -452,6 +452,19 @@ class TestFiberPlans:
         runner.run_kernel(bundle.shapes_only(), Kernel.TTV, Format.HICOO)  # launch model
         assert list(h._plan_cache) == lengths
 
+    def test_hicoo_launch_models_leave_no_global_rows(self):
+        # A cached bundle lives for a whole sweep or daemon, so the
+        # launch models must not leave the expanded per-mode coordinates
+        # on the HiCOO tensor.
+        bundle = TensorBundle.prepare("t", _tensor(np.float32), RunnerConfig())
+        runner = SuiteRunner(DGX_1V, RunnerConfig(measure_host=False))
+        for kernel in Kernel:
+            runner.run_kernel(bundle, kernel, Format.HICOO)
+        assert bundle.hicoo._global_rows == {}
+        for mode in range(bundle.coo.nmodes):
+            got, want = fiber_lengths(bundle.hicoo, mode), fiber_lengths(bundle.coo, mode)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_bundle_nbytes_counts_fiber_plan_arrays(self):
         bundle = TensorBundle.prepare("t", _tensor(np.float32), RunnerConfig())
         # A HiCOO plan holds a gHiCOO copy; its bytes are the copy's real

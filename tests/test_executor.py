@@ -11,9 +11,12 @@ un-sharded run's records case-for-case.
 
 import json
 import os
+import sys
+import threading
 
 import pytest
 
+from repro.bench import executor
 from repro.bench import (
     ExecutorConfig,
     RunnerConfig,
@@ -48,6 +51,10 @@ def tiny_cases(kernels=(Kernel.TS,), formats=(Format.COO,), names=("tiny",)):
         for i, name in enumerate(names)
     }
     return enumerate_cases(specs, cfg)
+
+
+def canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def inline(store, cases, **kw):
@@ -173,6 +180,59 @@ class TestMaterialize:
             dataset_case_specs("synthetic", keys=["nope"])
         with pytest.raises(ExecutorError):
             dataset_case_specs("imaginary")
+
+
+class TestInlineBundleReuse:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_materializes_its_tensor_once(self, tmp_path, monkeypatch, workers):
+        cases = enumerate_cases(
+            {"tiny": TINY_SPEC}, RunnerConfig(measure_host=False),
+            platforms=("Bluesky", "DGX-1V"),
+        )
+        fresh = {c.fingerprint: canonical(execute_case(c).to_dict()) for c in cases}
+        specs = []
+        materialize = executor.materialize_tensor
+        monkeypatch.setattr(
+            executor, "materialize_tensor",
+            lambda spec: specs.append(spec) or materialize(spec),
+        )
+        store = RunStore(tmp_path / "run.jsonl")
+        report = inline(store, cases, workers=workers).run()
+        assert len(report.completed) == len(cases) == 20
+        assert len(specs) == 1
+        records = store.load().records
+        assert {fp: canonical(line["record"]) for fp, line in records.items()} == fresh
+
+    def test_threads_share_one_build_per_tensor(self, monkeypatch):
+        cases = tiny_cases(names=("a", "b", "c"))
+        specs = []
+        materialize = executor.materialize_tensor
+        monkeypatch.setattr(
+            executor, "materialize_tensor",
+            lambda spec: specs.append(spec) or materialize(spec),
+        )
+        cache = executor.BundleCache()
+        got = [[] for _ in cases]
+
+        def get_all(offset):
+            for i in range(30):
+                k = (offset + i) % len(cases)
+                got[k].append(cache.get(cases[k]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=get_all, args=(t,)) for t in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(specs) == len(cases)
+        for bundles in got:
+            assert len(bundles) == 80 and all(b is bundles[0] for b in bundles)
 
 
 class TestRetryAndQuarantine:

@@ -28,7 +28,7 @@ from repro.bench import (
     enumerate_cases,
     execute_case,
 )
-from repro.bench.executor import prepare_bundle
+from repro.bench.executor import BundleCache, prepare_bundle
 from repro.bench.pool import (
     PooledWorker,
     WorkerCrash,
@@ -37,15 +37,10 @@ from repro.bench.pool import (
     launch_key,
     shutdown_pool,
 )
-from repro.bench.worker import BundleCache
 from repro.roofline.platform import get_platform
 from repro.types import Kernel
 
-from test_executor import TINY_SPEC, tiny_cases
-
-
-def canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+from test_executor import TINY_SPEC, canonical, tiny_cases
 
 
 def payload(case, attempt=0, **extra) -> dict:

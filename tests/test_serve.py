@@ -27,6 +27,7 @@ import time
 
 import pytest
 
+from repro.bench import executor
 from repro.bench import (
     ExecutorConfig,
     RunnerConfig,
@@ -215,6 +216,27 @@ class TestCacheBitIdentity:
         assert served["records"] == [
             reference.records[fp]["record"] for fp in order
         ]
+
+    def test_concurrent_misses_materialize_the_tensor_once(self, tmp_path, monkeypatch):
+        specs = []
+        materialize = executor.materialize_tensor
+        monkeypatch.setattr(
+            executor, "materialize_tensor",
+            lambda spec: specs.append(spec) or materialize(spec),
+        )
+        with service_thread(tmp_path, workers=2) as service:
+            sock = service.config.socket_path
+
+            async def twice():
+                return await asyncio.gather(
+                    *[async_request(sock, "sweep", SWEEP_PARAMS) for _ in range(2)]
+                )
+
+            results = asyncio.run(twice())
+            store_state = RunStore(service.config.store_path).load()
+        assert sum(r["executed"] for r in results) == 10
+        assert len(specs) == 1
+        assert_stores_identical(store_state, reference_store(tmp_path))
 
     def test_cache_hits_replay_journaled_records_verbatim(self, tmp_path):
         reference = reference_store(tmp_path)
