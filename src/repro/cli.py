@@ -11,10 +11,11 @@ Subcommands
                 print format statistics (COO/HiCOO sizes, block stats).
 ``trace``     — run one kernel under the span tracer and export a Chrome
                 trace plus per-worker busy-time / load-imbalance analytics.
-``sweep``     — resilient sharded suite sweep: isolated worker
-                subprocess per case, per-case timeout, retry with
-                backoff, quarantine, and an append-only JSONL run store
-                supporting ``--resume`` and ``--merge``.
+``sweep``     — resilient sharded suite sweep: cases run isolated on a
+                pool of long-lived worker processes, with a per-case
+                timeout, retry with backoff, quarantine, and an
+                append-only JSONL run store supporting ``--resume`` and
+                ``--merge``.
 ``report``    — fold a run store into paper-style Observation 1-5
                 tables (GFLOPS ranges, bound-fraction distributions,
                 HiCOO-vs-COO ratios) as text, markdown, or JSON.
@@ -938,8 +939,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser(
         "sweep",
-        help="resilient sharded suite sweep: per-case worker subprocesses, "
-        "timeout, retry/quarantine, JSONL checkpoint store with resume/merge",
+        help="resilient sharded suite sweep: cases on pooled long-lived "
+        "worker processes, timeout, retry/quarantine, JSONL checkpoint "
+        "store with resume/merge",
     )
     p_sweep.add_argument(
         "--dataset", choices=["real", "synthetic", "both"], default="synthetic"
@@ -987,7 +989,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--isolation", choices=["process", "inline"], default="process",
-        help="process = worker subprocess per case (default); inline = in-process",
+        help="process = each case on a pooled long-lived worker process "
+        "(default); inline = in-process",
     )
     p_sweep.add_argument(
         "--faults", metavar="JSON",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sptensor.coo import COOTensor
+from repro.util.sorting import stable_argsort
 from repro.util.validation import check_mode
 
 
@@ -75,7 +76,7 @@ def clustering_coefficient(tensor: COOTensor, modes: tuple[int, int] = (0, 1)) -
     u = tensor.indices[:, a].astype(np.int64)
     v = tensor.indices[:, b].astype(np.int64)
     # group mode-a vertices by shared mode-b index
-    order = np.argsort(v, kind="stable")
+    order = stable_argsort(v)
     u, v = u[order], v[order]
     g = nx.Graph()
     g.add_nodes_from(np.unique(u).tolist())

@@ -63,11 +63,23 @@ def _sample_coords(
     dim = initiator.shape[0]
     flat = initiator.ravel().astype(np.float64)
     flat = flat / flat.sum()
-    cells = rng.choice(flat.size, size=(count, iterations), p=flat)
-    digits = np.stack(np.unravel_index(cells, initiator.shape), axis=0)
-    coords = np.zeros((count, order), dtype=np.int64)
-    for it in range(iterations):
-        coords = coords * dim + digits[:, :, it].T
+    # ``rng.choice(flat.size, size=(count, iterations), p=flat)`` unrolled:
+    # the same uniform draws, and each cell is the count of CDF edges
+    # ``<= u`` (its ``searchsorted(side="right")``).  The last edge is 1.0
+    # and never counts.
+    cdf = flat.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random((count, iterations))
+    cells = np.zeros(u.shape, dtype=np.intp)
+    for edge in cdf[:-1]:
+        cells += u >= edge
+    # Each level contributes one base-``dim`` digit to every mode's
+    # coordinate, most significant first.
+    digits = np.unravel_index(np.arange(flat.size), initiator.shape)
+    place = dim ** np.arange(iterations - 1, -1, -1, dtype=np.int64)
+    coords = np.empty((count, order), dtype=np.int64)
+    for d in range(order):
+        coords[:, d] = digits[d][cells] @ place
     return coords
 
 
@@ -113,7 +125,11 @@ def kronecker_tensor(
         )
     if len(set(initiator.shape)) != 1:
         raise GenerationError("initiator must be cubical")
-    if (initiator < 0).any() or initiator.sum() <= 0:
+    if (
+        not np.isfinite(initiator).all()
+        or (initiator < 0).any()
+        or initiator.sum() <= 0
+    ):
         raise GenerationError("initiator must be a non-negative weight tensor")
     dim = initiator.shape[0]
     # One extra iteration past the largest mode, then strip (paper 4.2.1).

@@ -260,8 +260,7 @@ def _coo_mttkrp_timing(
     # (Observation 2 on the V100's larger L2).
     gather_modes = [mm for mm in range(x.nmodes) if mm != mode] + [mode]
     for mm in gather_modes:
-        touched = len(np.unique(x.indices[:, mm]))
-        ws = 4.0 * r * touched
+        ws = 4.0 * r * x.mode_sizes_touched(mm)
         blocks = _block_sizes(m, entries_per_block) * (4.0 * r)
         t, i2, b2, r2 = memory_time(device, blocks, working_set_bytes=ws)
         mem_s += t
@@ -294,17 +293,16 @@ def _hicoo_mttkrp_timing(
     heavy-tailed block occupancy and low block counts can make this
     *slower* than COO-Mttkrp-GPU (paper Observation 4)."""
     nnzb = x.nnz_per_block().astype(np.float64)
-    ginds = x.global_indices()
+    # Not ``to_coo``: that caches the global rows on ``x``.
+    gcoo = COOTensor(x.shape, x.global_indices(), x.values, copy=False, check=False)
     # Per tensor-block traffic: matrix rows (reused within the block, at
     # most B distinct rows per matrix), 8-bit element indices + values.
     per_block = nnzb * (12.0 * r + 7.0) + 20.0
     # Working set: the rows actually touched across the factor matrices
     # (short modes stay cache-resident, as in the COO kernel).
-    ws = sum(
-        4.0 * r * len(np.unique(ginds[:, mm])) for mm in range(x.nmodes)
-    )
+    ws = sum(4.0 * r * gcoo.mode_sizes_touched(mm) for mm in range(x.nmodes))
     mem_s, imb, bw, res = memory_time(device, per_block, working_set_bytes=ws)
-    rows = ginds[:, mode]
+    rows = gcoo.indices[:, mode]
     atom, _ = _mttkrp_atomics(device, rows, r, kw)
     flop_time = 3.0 * x.nnz * r / (device.peak_sp_gflops * 1e9)
     addr = address_time(device, 2.0 * x.nnz * r, flop_time)

@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.sptensor.coo import COOTensor
+from repro.util.sorting import stable_argsort
 from repro.util.validation import check_mode
 
 
@@ -192,7 +193,7 @@ def sparse_contract(
 
     kx = _linear_key(x.indices, x.shape, modes_x)
     ky = _linear_key(y.indices, y.shape, modes_y)
-    ox, oy = np.argsort(kx, kind="stable"), np.argsort(ky, kind="stable")
+    ox, oy = stable_argsort(kx), stable_argsort(ky)
     kx, ky = kx[ox], ky[oy]
     # Join: for each X entry, the contiguous run of matching Y entries.
     lo = np.searchsorted(ky, kx, side="left")
@@ -223,7 +224,7 @@ def sparse_inner(x: COOTensor, y: COOTensor) -> float:
         raise ShapeError(f"inner product needs equal shapes: {x.shape} vs {y.shape}")
     kx = _linear_key(x.indices, x.shape, range(x.nmodes))
     ky = _linear_key(y.indices, y.shape, range(y.nmodes))
-    ox, oy = np.argsort(kx, kind="stable"), np.argsort(ky, kind="stable")
+    ox, oy = stable_argsort(kx), stable_argsort(ky)
     common, ix, iy = np.intersect1d(kx[ox], ky[oy], return_indices=True)
     if len(common) == 0:
         return 0.0

@@ -46,6 +46,7 @@ from repro.parallel.ownership import OwnerPartition, owner_partition
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.ghicoo import GHiCOOTensor
 from repro.sptensor.hicoo import HiCOOTensor
+from repro.util.sorting import stable_argsort
 from repro.util.validation import check_mode
 
 
@@ -99,7 +100,7 @@ class ScatterPlan:
             self.order = None
             sorted_rows = rows
         else:
-            self.order = np.argsort(rows, kind="stable")
+            self.order = stable_argsort(rows)
             sorted_rows = rows[self.order]
         if len(sorted_rows):
             self.starts = np.concatenate(
@@ -233,7 +234,7 @@ class FiberPlan(NamedTuple):
 def _coo_fiber_plan(x: COOTensor, mode: int) -> FiberPlan:
     rest = [m for m in range(x.nmodes) if m != mode]
     lin = x.linearize(rest + [mode])
-    perm = np.argsort(lin, kind="stable")
+    perm = stable_argsort(lin)
     rest_key = lin[perm] // np.int64(x.shape[mode])
     return FiberPlan(perm, sorted_fibers((rest_key,), x.indices[:, mode], perm))
 

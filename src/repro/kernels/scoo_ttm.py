@@ -20,6 +20,7 @@ from repro.kernels.ttv import fiber_reduce
 from repro.parallel.backend import get_backend
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.scoo import SemiCOOTensor
+from repro.util.sorting import stable_argsort
 from repro.util.validation import check_mode
 
 
@@ -61,7 +62,7 @@ def scoo_ttm(
     for j in keep_cols:
         key = key * np.int64(x.shape[x.sparse_modes[j]]) + inds[:, j]
     key = key * np.int64(x.shape[mode]) + inds[:, sp_col]
-    order = np.argsort(key, kind="stable")
+    order = stable_argsort(key)
     fib = sorted_fibers((key[order] // np.int64(x.shape[mode]),), inds[:, sp_col], order)
 
     dtype = np.result_type(x.values, u)

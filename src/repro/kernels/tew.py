@@ -28,6 +28,7 @@ from repro.obs.tracer import CAT_KERNEL, current_tracer
 from repro.parallel.backend import Backend, get_backend
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.hicoo import HiCOOTensor
+from repro.util.sorting import stable_argsort
 from repro.util.validation import check_same_shape
 
 _UFUNC = {
@@ -102,7 +103,7 @@ def coo_tew(
 
     # Pre-processing: merge the patterns on linearized coordinates.
     lx, ly = x.linearize(), y.linearize()
-    ox, oy = np.argsort(lx, kind="stable"), np.argsort(ly, kind="stable")
+    ox, oy = stable_argsort(lx), stable_argsort(ly)
     lx, ly = lx[ox], ly[oy]
     xv, yv = x.values[ox], y.values[oy]
     dtype = np.result_type(x.values, y.values)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.parallel.partition import balanced_partition
+from repro.util.sorting import stable_argsort
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ def owner_partition(rows: np.ndarray, n_out: int, nparts: int) -> OwnerPartition
         order = None
         grouped = part_of
     else:
-        order = np.argsort(part_of, kind="stable").astype(np.int64)
+        order = stable_argsort(part_of).astype(np.int64)
         grouped = part_of[order]
     part_ptr = np.searchsorted(
         grouped, np.arange(npar + 1), side="left"

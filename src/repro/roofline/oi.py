@@ -68,8 +68,8 @@ def extract_features(
             imb.append(float(lengths.max() / lengths.mean()))
         else:
             imb.append(1.0)
-        rows = np.unique(tensor.indices[:, m])
-        cont.append(tensor.nnz / len(rows) if len(rows) else 0.0)
+        rows = tensor.mode_sizes_touched(m)
+        cont.append(tensor.nnz / rows if rows else 0.0)
     nnzb = hicoo.nnz_per_block()
     return TensorFeatures(
         name=name,

@@ -120,6 +120,7 @@ class BenchService:
         self._loop = None
         self._server = None
         self._connections = set()  # live (task, writer) pairs
+        self._dispatches = set()  # request tasks, trace writes included
         self._metrics_server = None
         #: Actual Prometheus endpoint port once bound (ephemeral-capable).
         self.metrics_port_bound: "int | None" = None
@@ -387,9 +388,11 @@ class BenchService:
             self.config.trace_dir,
             f"req-{rctx.seq:06d}-{op}-{rctx.tracer.trace_id}.json",
         )
-        with open(path, "w") as f:
+        # Written aside and renamed, so a reader never sees half a file.
+        with open(path + ".tmp", "w") as f:
             json.dump(doc, f, indent=1)
             f.write("\n")
+        os.replace(path + ".tmp", path)
         return path
 
     async def _dispatch(self, request: dict, send) -> None:
@@ -483,6 +486,8 @@ class BenchService:
                 task = asyncio.ensure_future(self._dispatch(request, send))
                 inflight.add(task)
                 task.add_done_callback(inflight.discard)
+                self._dispatches.add(task)
+                task.add_done_callback(self._dispatches.discard)
         finally:
             self._connections.discard(conn)
             self._log.debug(
@@ -518,7 +523,10 @@ class BenchService:
     # lifecycle
     # ------------------------------------------------------------------ #
     def stop(self) -> None:
-        """Ask the serve loop to exit (thread/signal-safe once running)."""
+        """Ask the serve loop to exit (thread/signal-safe once running).
+
+        The loop stops accepting, then waits for every request in flight
+        to finish and write its trace before it tears down."""
         if self._stop is not None and self._loop is not None:
             self._loop.call_soon_threadsafe(self._stop.set)
 
@@ -571,6 +579,12 @@ class BenchService:
             # EOFs the reader, so each handler exits its read loop.
             for task, writer in list(self._connections):
                 writer.close()
+            # Every request in flight finishes, trace write included: a
+            # client may hang up (and its handler leave ``_connections``)
+            # before its request's trace is written, and loop teardown
+            # would cancel that write.
+            while self._dispatches:
+                await asyncio.gather(*self._dispatches, return_exceptions=True)
             tasks = [task for task, _ in self._connections]
             if tasks:
                 await asyncio.wait(tasks, timeout=10)

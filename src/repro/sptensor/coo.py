@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.types import INDEX_BYTES, VALUE_BYTES, VALUE_DTYPE, index_dtype_for
+from repro.util.sorting import stable_argsort
 from repro.util.validation import (
     check_indices_in_bounds,
     check_mode,
@@ -263,7 +264,7 @@ class COOTensor:
         order = self._normalize_order(mode_order)
         if self._sort_order == order:
             return self
-        perm = np.argsort(self.linearize(order), kind="stable")
+        perm = stable_argsort(self.linearize(order))
         self.indices = np.ascontiguousarray(self.indices[perm])
         self.values = self.values[perm]
         self._sort_order = order
@@ -282,16 +283,20 @@ class COOTensor:
             out = self.copy()
             out._sort_order = tuple(range(self.nmodes))
             return out
+        # One stable sort: each group's first entry in the sorted stream
+        # is its first in storage order, and ``np.add.at`` sums every
+        # group in storage order.
         lin = self.linearize()
-        uniq, inverse = np.unique(lin, return_inverse=True)
-        vals = np.zeros(len(uniq), dtype=self.values.dtype)
+        perm = stable_argsort(lin)
+        slin = lin[perm]
+        head = np.empty(len(slin), dtype=bool)
+        head[0] = True
+        np.not_equal(slin[1:], slin[:-1], out=head[1:])
+        inverse = np.empty(len(slin), dtype=np.int64)
+        inverse[perm] = np.cumsum(head) - 1
+        vals = np.zeros(int(head.sum()), dtype=self.values.dtype)
         np.add.at(vals, inverse, self.values)
-        first = np.zeros(len(uniq), dtype=np.int64)
-        # np.unique returns sorted uniq; recover one representative index per
-        # group to keep the original coordinates (cheaper than unravel).
-        seen_order = np.argsort(inverse, kind="stable")
-        group_starts = np.searchsorted(inverse[seen_order], np.arange(len(uniq)))
-        first = seen_order[group_starts]
+        first = perm[head]
         out = COOTensor(
             self.shape, self.indices[first], vals, copy=False, check=False
         )
@@ -355,7 +360,8 @@ class COOTensor:
     def mode_sizes_touched(self, mode: int) -> int:
         """Distinct indices appearing on ``mode`` (working-set estimation)."""
         mode = check_mode(mode, self.nmodes)
-        return int(len(np.unique(self.indices[:, mode])))
+        col = np.sort(self.indices[:, mode])
+        return int(np.count_nonzero(col[1:] != col[:-1])) + (len(col) > 0)
 
 
 def _sample_distinct(gen: np.random.Generator, total: int, nnz: int) -> np.ndarray:

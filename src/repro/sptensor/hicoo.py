@@ -30,13 +30,18 @@ from repro.types import (
     index_dtype_for,
 )
 from repro.sptensor.coo import COOTensor
-from repro.util.bits import is_pow2
+from repro.util.bits import ilog2, is_pow2
 from repro.util.morton import morton_encode
+from repro.util.sorting import stable_argsort
 
 
 def _hicoo_sort_order(bcoords: np.ndarray, ecoords: np.ndarray) -> np.ndarray:
-    """Permutation ordering entries by (Morton(block), element row-major).
+    """Stable permutation ordering entries by (Morton(block), element
+    row-major).
 
+    One ``(morton << 8N) | ekey`` key is sorted whenever it fits in 63
+    bits; it orders exactly like ``lexsort((ekey, morton))``, the path
+    taken otherwise.
     Falls back to lexicographic block ordering when the block coordinates
     are too wide for 64-bit Morton codes (affects locality only, never
     grouping correctness).
@@ -44,17 +49,19 @@ def _hicoo_sort_order(bcoords: np.ndarray, ecoords: np.ndarray) -> np.ndarray:
     m, n = bcoords.shape
     if m == 0:
         return np.empty(0, dtype=np.intp)
-    # Element key: row-major linear offset within a block; B <= 256 so the
-    # key fits easily in int64 for any realistic order.
+    # Element key: row-major linear offset within a block; B <= 256 so
+    # each element coordinate takes 8 bits.
     ekey = np.zeros(m, dtype=np.int64)
     for d in range(n):
         ekey = ekey * 256 + ecoords[:, d].astype(np.int64)
     try:
         bkey = morton_encode(bcoords)
-        return np.lexsort((ekey, bkey))
     except ValueError:
         cols = [ekey] + [bcoords[:, d] for d in range(n - 1, -1, -1)]
         return np.lexsort(tuple(cols))
+    if int(bkey.max()).bit_length() + 8 * n <= 63:
+        return stable_argsort((bkey.view(np.int64) << np.int64(8 * n)) | ekey)
+    return np.lexsort((ekey, bkey))
 
 
 class HiCOOTensor:
@@ -183,10 +190,9 @@ class HiCOOTensor:
             raise FormatError(
                 f"block size must be a power of two in [1, 256], got {block_size}"
             )
-        b = np.int64(block_size)
         inds = tensor.indices.astype(np.int64, copy=False)
-        bcoords = inds // b
-        ecoords = (inds - bcoords * b).astype(EINDEX_DTYPE)
+        bcoords = inds >> np.int64(ilog2(block_size))
+        ecoords = (inds & np.int64(block_size - 1)).astype(EINDEX_DTYPE)
         perm = _hicoo_sort_order(bcoords, ecoords)
         bcoords = bcoords[perm]
         ecoords = np.ascontiguousarray(ecoords[perm])

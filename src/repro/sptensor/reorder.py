@@ -26,6 +26,7 @@ import numpy as np
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.hicoo import HiCOOTensor
 from repro.util.prng import rng_from_seed
+from repro.util.sorting import stable_argsort
 from repro.util.validation import check_mode
 
 
@@ -76,7 +77,7 @@ def degree_reorder(
         counts = np.bincount(
             tensor.indices[:, m].astype(np.int64), minlength=tensor.shape[m]
         )
-        order = np.argsort(-counts, kind="stable")  # old indices, hot first
+        order = stable_argsort(-counts)  # old indices, hot first
         perm = np.empty(tensor.shape[m], dtype=np.int64)
         perm[order] = np.arange(tensor.shape[m])
         perms[m] = perm

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.util.sorting import stable_argsort
+
 
 def _required_bits(coords: np.ndarray) -> int:
     """Number of bits needed per coordinate column."""
@@ -93,7 +95,7 @@ def morton_order(coords: np.ndarray) -> np.ndarray:
     nbits = _required_bits(coords)
     if nbits * coords.shape[1] <= 64:
         codes = morton_encode(coords, nbits)
-        return np.argsort(codes, kind="stable")
+        return stable_argsort(codes)
     # np.lexsort sorts by the *last* key first, so feed columns reversed to
     # obtain row-major (mode-0 major) ordering.
     return np.lexsort(tuple(coords[:, d] for d in range(coords.shape[1] - 1, -1, -1)))

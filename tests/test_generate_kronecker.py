@@ -6,6 +6,21 @@ import pytest
 from repro.errors import GenerationError
 from repro.generate import default_initiator, kronecker_tensor
 from repro.generate.graph import degree_distribution, degree_tail_ratio
+from repro.generate.kronecker import _sample_coords
+
+
+def reference_sample_coords(initiator, iterations, count, rng):
+    """The sampler as first written: ``rng.choice`` over the initiator
+    cells, ``np.unravel_index`` and one loop step per level."""
+    order, dim = initiator.ndim, initiator.shape[0]
+    flat = initiator.ravel().astype(np.float64)
+    flat = flat / flat.sum()
+    cells = rng.choice(flat.size, size=(count, iterations), p=flat)
+    digits = np.stack(np.unravel_index(cells, initiator.shape), axis=0)
+    coords = np.zeros((count, order), dtype=np.int64)
+    for it in range(iterations):
+        coords = coords * dim + digits[:, :, it].T
+    return coords
 
 
 class TestInitiator:
@@ -78,6 +93,8 @@ class TestKroneckerTensor:
             kronecker_tensor((10, 10, 10), 5, initiator=np.ones((2, 3, 2)))
         with pytest.raises(GenerationError):
             kronecker_tensor((10, 10, 10), 5, initiator=-np.ones((2, 2, 2)))
+        with pytest.raises(GenerationError):
+            kronecker_tensor((10, 10, 10), 5, initiator=np.full((2, 2, 2), np.nan))
 
     def test_saturation_raises(self):
         """Requesting more nnz than the skewed model can realize fails
@@ -88,3 +105,25 @@ class TestKroneckerTensor:
     def test_values_positive(self):
         t = kronecker_tensor((64, 64, 64), 300, seed=7)
         assert (t.values > 0).all()
+
+
+class TestSamplerMatchesChoice:
+    """The unrolled sampler draws what ``rng.choice`` drew, from the same
+    stream, and leaves the generator in the same state."""
+
+    @pytest.mark.parametrize("initiator,iterations,count", [
+        (default_initiator(3), 11, 5000),
+        (default_initiator(4), 7, 3000),
+        (default_initiator(3, dim=3, skew=0.3), 5, 2000),
+        # Zero-weight cells give repeated CDF edges.
+        (np.array([[[0.5, 0.0], [0.0, 0.25]], [[0.0, 0.0], [0.25, 0.0]]]), 9, 4000),
+        (default_initiator(3), 4, 0),
+    ])
+    def test_bit_identical_to_choice(self, initiator, iterations, count):
+        got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+        got = _sample_coords(initiator, iterations, count, got_rng)
+        want = reference_sample_coords(initiator, iterations, count, want_rng)
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape == (count, initiator.ndim)
+        assert np.array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state

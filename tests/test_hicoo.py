@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import FormatError
 from repro.sptensor import COOTensor, HiCOOTensor
+from repro.sptensor.hicoo import _hicoo_sort_order
 from repro.util.morton import morton_encode
 
 
@@ -61,6 +62,23 @@ class TestStructure:
 
     def test_nnz_per_block_sums(self, hicoo3):
         assert hicoo3.nnz_per_block().sum() == hicoo3.nnz
+
+    @pytest.mark.parametrize("bbits", [
+        8,   # one packed (morton << 24) | ekey key
+        14,  # 42-bit Morton codes: no room for the element key, lexsort
+        30,  # past 64-bit Morton codes: row-major lexsort
+    ])
+    def test_sort_order_is_the_stable_lexsort(self, bbits):
+        rng = np.random.default_rng(bbits)
+        # Few distinct coordinates, so ties (duplicate entries) abound.
+        bc = rng.integers(0, 2**bbits, (40, 3))[rng.integers(0, 40, 3000)]
+        ec = rng.integers(0, 2, (3000, 3)).astype(np.uint8)
+        ekey = (ec[:, 0].astype(np.int64) * 256 + ec[:, 1]) * 256 + ec[:, 2]
+        if 3 * bbits <= 64:
+            want = np.lexsort((ekey, morton_encode(bc)))
+        else:
+            want = np.lexsort((ekey, bc[:, 2], bc[:, 1], bc[:, 0]))
+        np.testing.assert_array_equal(_hicoo_sort_order(bc, ec), want)
 
 
 class TestStorageModel:

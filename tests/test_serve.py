@@ -642,6 +642,63 @@ class TestRequestTracing:
         assert sum(1 for e in flows if e["ph"] == "s") == 10
         assert sum(1 for e in flows if e["ph"] == "f") == 10
 
+    def test_stop_right_after_a_traced_request_keeps_its_trace(
+        self, tmp_path, monkeypatch
+    ):
+        # A slow trace write is still running when the client hangs up
+        # and the daemon is stopped: shutdown must wait for it, not
+        # cancel the request task mid-write.
+        import io
+
+        from repro.obs import log
+
+        write = BenchService._write_trace
+
+        def slow_write(service, op, rctx):
+            time.sleep(0.3)
+            return write(service, op, rctx)
+
+        monkeypatch.setattr(BenchService, "_write_trace", slow_write)
+        stream = io.StringIO()
+        log.configure(mode="json", level="debug", stream=stream)
+        try:
+            trace_dir = tmp_path / "traces"
+            with service_thread(tmp_path, trace_dir=str(trace_dir)) as service:
+                with ServeClient(service.config.socket_path) as client:
+                    client.request("status")
+                # Stop only once the daemon saw the hang-up, so the
+                # connection handler no longer holds the request.
+                deadline = time.monotonic() + 10
+                while service._connections and time.monotonic() < deadline:
+                    time.sleep(0.01)
+        finally:
+            log.reset()
+        (path,) = sorted(trace_dir.glob("req-*.json"))
+        assert json.loads(path.read_text())["otherData"]["trace_id"]
+        assert not list(trace_dir.glob("*.tmp"))
+        events = [json.loads(line)["event"] for line in stream.getvalue().splitlines()]
+        assert "trace.written" in events
+
+    def test_trace_file_appears_only_complete(self, tmp_path, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.serve import daemon
+
+        trace_dir = tmp_path / "traces"
+        seen = []
+
+        def watching_dump(doc, f, **kw):
+            seen.append(sorted(p.name for p in trace_dir.glob("req-*.json")))
+            return json.dump(doc, f, **kw)
+
+        monkeypatch.setattr(daemon, "json", SimpleNamespace(dump=watching_dump))
+        with service_thread(tmp_path, trace_dir=str(trace_dir)) as service:
+            with ServeClient(service.config.socket_path) as client:
+                client.request("status")
+        assert seen == [[]]  # nothing under the final name while writing
+        (path,) = sorted(trace_dir.glob("req-*.json"))
+        json.loads(path.read_text())
+
     def test_untraced_client_still_gets_a_minted_trace(self, tmp_path):
         trace_dir = tmp_path / "traces"
         with service_thread(
