@@ -21,7 +21,10 @@ registry delta around it is reported as ``compile_s`` per entry so
 entry is also attributed against the Bluesky CPU roofline
 (``bound_fraction = achieved / min(peak, OI x ERT-DRAM)``), and carries
 ``host_cpus``: a row with ``oversubscribed: true`` ran more threads than
-the host has CPUs, so it is not a scaling measurement.
+the host has CPUs, so it is not a scaling measurement.  ``meta`` holds
+the host facts: ``host_cpus``, the ``numpy`` version and
+``blas_threads``, the thread count of every OpenBLAS loaded (1 unless
+``OPENBLAS_NUM_THREADS`` says otherwise).
 
 Invariants asserted and recorded under ``checks``:
 
@@ -53,7 +56,7 @@ from repro.kernels import (
 from repro.obs import Tracer, analyze, chrome_trace
 from repro.obs.attribution import attribute
 from repro.obs.registry import get_metrics
-from repro.parallel import OpenMPBackend, get_backend
+from repro.parallel import OpenMPBackend, blas_threads, get_backend
 from repro.roofline import BLUESKY, RooflineModel
 from repro.roofline.oi import cost_for, extract_features
 from repro.sptensor import HiCOOTensor
@@ -217,6 +220,7 @@ def run(quick: bool, nthreads: int, reps: int, trace_path: str | None = None) ->
             "nthreads": nthreads,
             "host_cpus": HOST_CPUS,
             "numpy": np.__version__,
+            "blas_threads": {os.path.basename(p): n for p, n in blas_threads()},
             "quick": quick,
             "roofline_platform": BLUESKY.name,
             "plans": {

@@ -62,10 +62,13 @@ _LOG = get_logger("repro.cli")
 
 def _cmd_info(args) -> int:
     import repro
+    from repro.parallel import blas_threads
     from repro.roofline import PLATFORMS, RooflineModel, measure_host
 
     print(f"repro {repro.__version__} — parallel sparse tensor benchmark suite")
     print(f"kernels: tew ts ttv ttm mttkrp | formats: coo hicoo ghicoo scoo shicoo csf")
+    for path, nthreads in blas_threads():
+        print(f"BLAS: {path} ({nthreads} thread{'s' if nthreads != 1 else ''})")
     print()
     for p in PLATFORMS:
         model = RooflineModel(p)

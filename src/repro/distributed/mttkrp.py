@@ -21,6 +21,7 @@ from repro.errors import ShapeError
 from repro.bench.cpumodel import modeled_cpu_time
 from repro.distributed.comm import SimNetwork
 from repro.kernels.mttkrp import coo_mttkrp
+from repro.methods.cpd import CPResult
 from repro.roofline.oi import extract_features
 from repro.roofline.platform import BLUESKY, PlatformSpec
 from repro.sptensor.coo import COOTensor
@@ -158,7 +159,7 @@ def distributed_cp_als(
                 tensor, factors, mode, net, platform, shards=shards
             )
             comm_total += res.comm_seconds
-            m = res.value.astype(np.float64)
+            m = res.value.astype(np.float64, copy=False)
             v = np.ones((rank, rank))
             for other in range(n):
                 if other != mode:
@@ -175,10 +176,7 @@ def distributed_cp_als(
             factors[mode] = a
             grams[mode] = a.T @ a
             last_mttkrp, last_mode = m, mode
-        coeff = np.outer(weights, weights)
-        for f in factors:
-            coeff = coeff * (f.T @ f)
-        norm_k = float(np.sqrt(max(coeff.sum(), 0.0)))
+        norm_k = CPResult(weights, factors).norm(grams)
         inner = float(
             (weights * (factors[last_mode] * last_mttkrp).sum(axis=0)).sum()
         )

@@ -104,16 +104,19 @@ def _row_contributions(
     ``astype`` copies happen here.  ``sel`` picks the entries: a
     contiguous storage range, or an owner's index array when its entries
     are not contiguous in storage.
+
+    The first factor's gathered rows become the buffer and are scaled by
+    ``x_k`` in place (``u * x == x * u`` bit for bit); the later factors
+    multiply into it in mode order.
     """
-    contrib = values[sel].astype(dtype, copy=True)[:, None]
-    first = True
+    contrib = None
     for col, u in zip(cols, mats):
         if u is None:
             continue
-        rows = u[col[sel], :]
-        if first:
-            contrib = contrib * rows
-            first = False
+        rows = np.take(u, col[sel], axis=0)
+        if contrib is None:
+            contrib = rows.astype(dtype, copy=False)
+            contrib *= values[sel][:, None]
         else:
             contrib *= rows
     return contrib

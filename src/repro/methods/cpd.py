@@ -40,11 +40,17 @@ class CPResult:
     def rank(self) -> int:
         return len(self.weights)
 
-    def norm(self) -> float:
-        """Frobenius norm of the Kruskal tensor (via the Gram identity)."""
+    def norm(self, grams=None) -> float:
+        """Frobenius norm of the Kruskal tensor (via the Gram identity).
+
+        ``grams`` are the factors' ``a.T @ a`` when the caller keeps them
+        up to date; they are recomputed otherwise.
+        """
+        if grams is None:
+            grams = [a.T @ a for a in self.factors]
         coeff = np.outer(self.weights, self.weights)
-        for a in self.factors:
-            coeff = coeff * (a.T @ a)
+        for g in grams:
+            coeff = coeff * g
         return float(np.sqrt(max(coeff.sum(), 0.0)))
 
     def to_dense(self) -> np.ndarray:
@@ -109,7 +115,7 @@ def cp_als(
     prev_fit = -np.inf
     for it in range(n_iters):
         for mode in range(n):
-            m = _mttkrp(tensor, factors, mode, backend).astype(np.float64)
+            m = _mttkrp(tensor, factors, mode, backend).astype(np.float64, copy=False)
             v = np.ones((rank, rank))
             for other in range(n):
                 if other != mode:
@@ -132,8 +138,9 @@ def cp_als(
             last_mttkrp, last_mode = m, mode
         result.weights = weights
         result.factors = factors
-        # fit via the norm identity, using the last computed Mttkrp
-        norm_k = result.norm()
+        # fit via the norm identity, using the last computed Mttkrp; every
+        # mode was updated this iteration, so grams are the factors' Grams
+        norm_k = result.norm(grams)
         inner = float(
             (result.weights * (factors[last_mode] * last_mttkrp).sum(axis=0)).sum()
         )

@@ -2,6 +2,7 @@
 and the concurrency-correctness harness (race-check + chaos backends)."""
 
 from repro.parallel.backend import Backend, get_backend, register_backend
+from repro.parallel.blas import blas_threads, pin_blas_threads
 from repro.parallel.chaos import ChaosBackend, ChaosError
 from repro.parallel.openmp import OpenMPBackend
 from repro.parallel.racecheck import RaceCheckBackend, RaceViolation, RegionReport
@@ -17,6 +18,10 @@ from repro.parallel.partition import (
 )
 from repro.parallel.sequential import SequentialBackend
 
+# The backends own the cores: BLAS calls between kernels run on the
+# calling thread instead of leaving workers spinning beside the pool.
+pin_blas_threads()
+
 # Default registry entries: the suite always has a sequential executor, an
 # OpenMP-like pool sized to the host, and the race-check replayer.
 register_backend("sequential", SequentialBackend())
@@ -27,6 +32,7 @@ register_backend("racecheck", RaceCheckBackend())
 
 __all__ = [
     "Backend",
+    "blas_threads",
     "SequentialBackend",
     "OpenMPBackend",
     "RaceCheckBackend",

@@ -10,6 +10,8 @@ both regimes transparently.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.util.sorting import stable_argsort
@@ -21,6 +23,22 @@ def _required_bits(coords: np.ndarray) -> int:
         return 1
     max_coord = int(coords.max())
     return max(1, int(max_coord).bit_length())
+
+
+@functools.lru_cache(maxsize=None)
+def _byte_tables(n: int) -> np.ndarray:
+    """``(n, 256)`` uint64: bit ``k`` of byte value ``b`` of mode ``d``
+    spread to output bit ``k * n + (n - 1 - d)``.  Bits that would land
+    past bit 63 are dropped; no code within 64 bits reads them."""
+    byte = np.arange(256, dtype=np.uint64)
+    tables = np.zeros((n, 256), dtype=np.uint64)
+    for d in range(n):
+        for k in range(8):
+            dst_bit = k * n + (n - 1 - d)
+            if dst_bit < 64:
+                tables[d] |= ((byte >> np.uint64(k)) & np.uint64(1)) << np.uint64(dst_bit)
+    tables.setflags(write=False)
+    return tables
 
 
 def morton_encode(coords: np.ndarray, nbits: int | None = None) -> np.ndarray:
@@ -40,6 +58,8 @@ def morton_encode(coords: np.ndarray, nbits: int | None = None) -> np.ndarray:
     ``(M,)`` uint64 array of Z-order codes.  Bit ``k`` of coordinate ``d``
     lands at output bit ``k * N + (N - 1 - d)`` so that mode 0 is the most
     significant within each bit-plane (matching row-major tie-breaking).
+    Each mode's bits are spread 8 at a time through a 256-entry lookup
+    table, one gather per byte of coordinate width.
 
     Raises
     ------
@@ -58,12 +78,17 @@ def morton_encode(coords: np.ndarray, nbits: int | None = None) -> np.ndarray:
             f"Morton codes (needs {nbits * n} bits)"
         )
     codes = np.zeros(m, dtype=np.uint64)
-    cols = coords.astype(np.uint64, copy=False)
-    for bit in range(nbits):
+    # Byte j of every coordinate, little-endian: lanes[:, d, j].
+    lanes = coords.astype("<u8", copy=False).view(np.uint8).reshape(m, n, 8)
+    tables = _byte_tables(n)
+    byte = np.arange(256)
+    for j in range((nbits + 7) // 8):
+        # Bits at or above nbits are not interleaved; the shift moves the
+        # byte's bits to bit-plane 8j.
+        keep = byte & ((1 << min(8, nbits - 8 * j)) - 1)
+        shift = np.uint64(8 * j * n)
         for d in range(n):
-            src = (cols[:, d] >> np.uint64(bit)) & np.uint64(1)
-            dst_bit = np.uint64(bit * n + (n - 1 - d))
-            codes |= src << dst_bit
+            codes |= np.take(tables[d][keep] << shift, lanes[:, d, j])
     return codes
 
 

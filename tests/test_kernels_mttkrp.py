@@ -124,3 +124,48 @@ class TestMttkrpParallel:
         a = mttkrp(coo3, mats3, 0)
         b = mttkrp(hicoo3, mats3, 0)
         np.testing.assert_allclose(a, b, rtol=1e-4)
+
+
+def broadcast_contributions(cols, values, mats, dtype, sel=slice(None)):
+    """The former ``_row_contributions``: cast values, then one fresh
+    broadcast product with the first factor's fancy-indexed rows."""
+    contrib = values[sel].astype(dtype, copy=True)[:, None]
+    first = True
+    for col, u in zip(cols, mats):
+        if u is None:
+            continue
+        rows = u[col[sel], :]
+        if first:
+            contrib = contrib * rows
+            first = False
+        else:
+            contrib *= rows
+    return contrib
+
+
+class TestRowContributions:
+    """``_row_contributions`` gathers rows with ``np.take`` and scales the
+    first factor's rows in place; it must equal the broadcast formula bit
+    for bit."""
+
+    @pytest.mark.parametrize("product_mode", [0, 1, 2])
+    @pytest.mark.parametrize("vdt", [np.float32, np.float64])
+    @pytest.mark.parametrize("mdt", [np.float32, np.float64])
+    def test_matches_broadcast_formula(self, product_mode, vdt, mdt):
+        from repro.kernels.mttkrp import _row_contributions
+
+        rng = np.random.default_rng(product_mode)
+        shape, nnz = (30, 20, 25), 400
+        cols = [rng.integers(0, s, nnz).astype(np.int64) for s in shape]
+        values = rng.standard_normal(nnz).astype(vdt)
+        mats = [rng.standard_normal((s, 6)).astype(mdt) for s in shape]
+        cols[product_mode] = mats[product_mode] = None
+        dtype = np.result_type(values, *[u for u in mats if u is not None])
+        owner = np.sort(rng.choice(nnz, 150, replace=False))
+        for sel in (slice(None), slice(37, 290), slice(5, 5), owner,
+                    owner[:0], owner[::-1]):
+            got = _row_contributions(cols, values, mats, dtype, sel)
+            want = broadcast_contributions(cols, values, mats, dtype, sel)
+            assert got.dtype == want.dtype == dtype
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want, strict=True)

@@ -64,6 +64,25 @@ class TestCpAls:
             np.linalg.norm(res.to_dense()), rel=1e-6
         )
 
+    @pytest.mark.parametrize("fmt", ["coo", "hicoo"])
+    def test_fit_from_kept_grams_is_bit_identical(self, monkeypatch, fmt):
+        """The fit reads ``||K||`` from the Grams ``cp_als`` keeps; recomputing
+        them from the factors (the former ``norm()``) gives the same bits."""
+        from repro.generate import powerlaw_tensor
+        from repro.methods.cpd import CPResult
+
+        x = powerlaw_tensor((300, 250, 20), 4000, dense_modes=(2,), seed=4)
+        if fmt == "hicoo":
+            x = HiCOOTensor.from_coo(x)
+        kept = cp_als(x, rank=5, n_iters=6, tol=0, seed=1)
+        recompute = CPResult.norm
+        monkeypatch.setattr(CPResult, "norm", lambda self, grams=None: recompute(self))
+        fresh = cp_als(x, rank=5, n_iters=6, tol=0, seed=1)
+        assert kept.fits == fresh.fits
+        np.testing.assert_array_equal(kept.weights, fresh.weights, strict=True)
+        for a, b in zip(kept.factors, fresh.factors):
+            np.testing.assert_array_equal(a, b, strict=True)
+
     def test_init_factors(self):
         x, facs = sparse_lowrank((12, 11, 10), 2, seed=11)
         res = cp_als(x, rank=2, n_iters=30, init_factors=facs)

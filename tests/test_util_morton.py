@@ -6,6 +6,53 @@ import pytest
 from repro.util.morton import morton_decode, morton_encode, morton_order
 
 
+def bitloop_encode(coords, nbits):
+    """The former encoder: one bit of one mode per NumPy pass."""
+    cols = np.ascontiguousarray(coords).astype(np.uint64, copy=False)
+    m, n = cols.shape
+    codes = np.zeros(m, dtype=np.uint64)
+    for bit in range(nbits):
+        for d in range(n):
+            src = (cols[:, d] >> np.uint64(bit)) & np.uint64(1)
+            codes |= src << np.uint64(bit * n + (n - 1 - d))
+    return codes
+
+
+class TestByteTableEncoder:
+    """The byte-table encoder equals the bit loop bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_bit_loop(self, n):
+        rng = np.random.default_rng(n)
+        for nbits in sorted({1, 3, 7, 8, 9, 10, 16, 21, 64 // n}):
+            if nbits * n > 64:
+                continue
+            full = rng.integers(0, 2**64, size=(500, n), dtype=np.uint64)
+            # exact-width coordinates, and wider ones whose high bits the
+            # encoder must ignore
+            for coords in (full >> np.uint64(64 - nbits), full):
+                np.testing.assert_array_equal(
+                    morton_encode(coords, nbits), bitloop_encode(coords, nbits),
+                    strict=True,
+                )
+            if nbits < 64:  # signed input, default width
+                small = (full >> np.uint64(64 - nbits)).astype(np.int64)
+                np.testing.assert_array_equal(
+                    morton_encode(small), bitloop_encode(small, nbits), strict=True
+                )
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_empty(self, n):
+        coords = np.empty((0, n), dtype=np.int64)
+        assert morton_encode(coords).shape == (0,)
+        assert morton_encode(coords, 64 // n).dtype == np.uint64
+
+    @pytest.mark.parametrize("n,nbits", [(1, 65), (2, 33), (3, 22), (5, 13)])
+    def test_too_wide_rejected(self, n, nbits):
+        with pytest.raises(ValueError, match="64-bit"):
+            morton_encode(np.zeros((2, n), dtype=np.uint64), nbits)
+
+
 class TestMortonEncode:
     def test_known_2d_codes(self):
         # Classic 2-D Z-order: (x=row-major-major per our bit placement).
