@@ -42,7 +42,9 @@ from repro.errors import ShapeError
 from repro.obs.registry import get_metrics
 from repro.obs.tracer import CAT_KERNEL, current_tracer
 from repro.kernels.contract import Access, declares_output
-from repro.kernels.plans import owner_plan, scatter_plan, scatter_rows
+from repro.kernels.plans import (
+    entry_blocks, owner_plan, scatter_plan, scatter_rows, thread_buffer,
+)
 from repro.parallel.backend import Backend, get_backend
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.hicoo import HiCOOTensor
@@ -94,8 +96,8 @@ def _row_contributions(
     cols: Sequence["np.ndarray | None"],
     values: np.ndarray,
     mats: Sequence,
-    dtype,
-    sel: "slice | np.ndarray" = slice(None),
+    sel: "slice | np.ndarray",
+    out: np.ndarray,
 ) -> np.ndarray:
     """``contrib[k, :] = x_k * prod_{m != mode} U(m)[i_m(k), :]``.
 
@@ -103,23 +105,31 @@ def _row_contributions(
     the product mode, whose matrix is also ``None``) so no per-call
     ``astype`` copies happen here.  ``sel`` picks the entries: a
     contiguous storage range, or an owner's index array when its entries
-    are not contiguous in storage.
+    are not contiguous in storage.  The result goes to ``out``, an
+    ``(entries, R)`` array of the output dtype, and is returned.
 
-    The first factor's gathered rows become the buffer and are scaled by
-    ``x_k`` in place (``u * x == x * u`` bit for bit); the later factors
-    multiply into it in mode order.
+    The first factor's rows are gathered with ``np.take`` straight into
+    ``out`` and scaled by ``x_k`` in place (``u * x == x * u`` bit for
+    bit); the later factors are gathered into a thread buffer and
+    multiply into ``out`` in mode order.  The indices lie within the
+    shape, so ``mode="clip"`` clips nothing; it spares the copy of
+    ``out`` that ``mode="raise"`` makes.
     """
-    contrib = None
-    for col, u in zip(cols, mats):
-        if u is None:
-            continue
-        rows = np.take(u, col[sel], axis=0)
-        if contrib is None:
-            contrib = rows.astype(dtype, copy=False)
-            contrib *= values[sel][:, None]
-        else:
-            contrib *= rows
-    return contrib
+    (col, u), *rest = [(c, m) for c, m in zip(cols, mats) if m is not None]
+    if u.dtype == out.dtype:
+        np.take(u, col[sel], axis=0, out=out, mode="clip")
+    else:
+        out[...] = _gather(u, col[sel], len(out))
+    out *= values[sel][:, None]
+    for col, u in rest:
+        out *= _gather(u, col[sel], len(out))
+    return out
+
+
+def _gather(u: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """Rows ``idx`` of ``u`` in this thread's gather buffer."""
+    buf = thread_buffer("gather", (n, u.shape[1]), u.dtype)
+    return np.take(u, idx, axis=0, out=buf, mode="clip")
 
 
 def _count_mttkrp(nnz: int, r: int, method: str) -> None:
@@ -143,8 +153,11 @@ def _mttkrp(x, rows, cols, mats, out, method: str, backend: Backend, tag) -> np.
     row: its range is ``[0, nnz)`` in storage order and no partition is
     built.
     """
+    r = out.shape[1]
     if method == "sort":
-        contrib = _row_contributions(cols, x.values, mats, out.dtype)
+        contrib = np.empty((len(rows), r), dtype=out.dtype)
+        for lo, hi in entry_blocks(0, len(rows)):
+            _row_contributions(cols, x.values, mats, slice(lo, hi), contrib[lo:hi])
         scatter_plan(x, rows, tag).reduce_segments(out, contrib)
         return out
     if backend.nthreads == 1:
@@ -157,9 +170,11 @@ def _mttkrp(x, rows, cols, mats, out, method: str, backend: Backend, tag) -> np.
     def body(lo: int, hi: int) -> None:
         if tracer.enabled:
             tracer.annotate(entries=hi - lo)
-        sel = slice(lo, hi) if order is None else order[lo:hi]
-        contrib = _row_contributions(cols, x.values, mats, out.dtype, sel)
-        scatter_rows(out, rows[sel], contrib)
+        for b, e in entry_blocks(lo, hi):
+            sel = slice(b, e) if order is None else order[b:e]
+            contrib = thread_buffer("contrib", (e - b, r), out.dtype)
+            _row_contributions(cols, x.values, mats, sel, contrib)
+            scatter_rows(out, rows[sel], contrib)
 
     with backend.check_output(out, Access.OWNER):
         backend.map_ranges(ranges, body)

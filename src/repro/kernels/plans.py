@@ -35,6 +35,8 @@ benchmark harness can report them apart from steady-state medians.
 
 from __future__ import annotations
 
+import math
+import threading
 import time
 from typing import NamedTuple, Sequence
 
@@ -56,9 +58,40 @@ def _record_plan_build(seconds: float, what: str) -> None:
     metrics.inc("plan.build_seconds", float(seconds), what=what)
 
 
-#: Entries per block of the flattened scatter: bounds the int64 index
-#: temporary at ``_SCATTER_BLOCK * R * 8`` bytes.
+#: Entries per block of Mttkrp's gather-scale-scatter loop and of
+#: :func:`scatter_rows`.  A block works in :func:`thread_buffer` arrays of
+#: ``_SCATTER_BLOCK * R`` elements (2 MiB each at R = 16 in float64), so a
+#: warm call allocates no large temporaries: its time and peak memory do
+#: not depend on where the allocator places them or whether it hands
+#: their pages back to the system between calls.
 _SCATTER_BLOCK = 1 << 14
+
+_scratch = threading.local()
+
+
+def thread_buffer(name: str, shape: tuple, dtype) -> np.ndarray:
+    """An uninitialized ``shape`` array owned by the calling thread.
+
+    Each ``(name, dtype)`` keeps one flat array per thread, grown when a
+    larger shape is asked for and reused otherwise, so a persistent worker
+    thread reaches a steady state with no allocation.  A view stays valid
+    until the same thread asks for the same ``(name, dtype)`` again.
+    """
+    try:
+        bufs = _scratch.bufs
+    except AttributeError:
+        bufs = _scratch.bufs = {}
+    size = math.prod(shape)
+    buf = bufs.get((name, dtype))
+    if buf is None or buf.size < size:
+        buf = bufs[(name, dtype)] = np.empty(size, dtype=dtype)
+    return buf[:size].reshape(shape)
+
+
+def entry_blocks(lo: int, hi: int) -> list:
+    """``(b, e)`` blocks of at most :data:`_SCATTER_BLOCK` entries that
+    cover ``[lo, hi)`` in order."""
+    return [(b, min(b + _SCATTER_BLOCK, hi)) for b in range(lo, hi, _SCATTER_BLOCK)]
 
 
 def scatter_rows(out: np.ndarray, rows: np.ndarray, contrib: np.ndarray) -> None:
@@ -66,15 +99,16 @@ def scatter_rows(out: np.ndarray, rows: np.ndarray, contrib: np.ndarray) -> None
 
     An unbuffered ``np.add.at`` on the flattened output, so NumPy takes
     its fast one-dimensional path; each output cell receives its summands
-    in storage order.  ``out`` must be C-contiguous.
+    in storage order.  ``out`` must be C-contiguous.  The flat indices of
+    each block of :data:`_SCATTER_BLOCK` entries go to a thread buffer.
     """
     r = out.shape[1]
     flat = out.reshape(-1)
     cols = np.arange(r, dtype=np.int64)
-    for lo in range(0, len(rows), _SCATTER_BLOCK):
-        hi = lo + _SCATTER_BLOCK
-        index = (rows[lo:hi, None] * r + cols).ravel()
-        np.add.at(flat, index, contrib[lo:hi].ravel())
+    for lo, hi in entry_blocks(0, len(rows)):
+        index = thread_buffer("scatter", (hi - lo, r), np.int64)
+        np.add((rows[lo:hi] * r)[:, None], cols, out=index)
+        np.add.at(flat, index.reshape(-1), contrib[lo:hi].reshape(-1))
 
 
 class ScatterPlan:

@@ -144,9 +144,9 @@ def broadcast_contributions(cols, values, mats, dtype, sel=slice(None)):
 
 
 class TestRowContributions:
-    """``_row_contributions`` gathers rows with ``np.take`` and scales the
-    first factor's rows in place; it must equal the broadcast formula bit
-    for bit."""
+    """``_row_contributions`` gathers rows with ``np.take`` into a thread
+    buffer and writes the products to ``out``; it must equal the
+    broadcast formula bit for bit."""
 
     @pytest.mark.parametrize("product_mode", [0, 1, 2])
     @pytest.mark.parametrize("vdt", [np.float32, np.float64])
@@ -164,8 +164,104 @@ class TestRowContributions:
         owner = np.sort(rng.choice(nnz, 150, replace=False))
         for sel in (slice(None), slice(37, 290), slice(5, 5), owner,
                     owner[:0], owner[::-1]):
-            got = _row_contributions(cols, values, mats, dtype, sel)
             want = broadcast_contributions(cols, values, mats, dtype, sel)
+            out = np.full(want.shape, np.nan, dtype=dtype)
+            got = _row_contributions(cols, values, mats, sel, out)
+            assert got is out
             assert got.dtype == want.dtype == dtype
             assert got.shape == want.shape
             np.testing.assert_array_equal(got, want, strict=True)
+
+    @pytest.mark.parametrize("vdt", [np.float32, np.float64])
+    def test_mixed_factor_dtypes(self, vdt):
+        # float32 values and first factor with a float64 later factor: the
+        # first product must already be formed in float64, as the oracle's
+        # cast-then-multiply does.
+        from repro.kernels.mttkrp import _row_contributions
+
+        rng = np.random.default_rng(7)
+        shape, nnz = (30, 20, 25, 15), 500
+        cols = [rng.integers(0, s, nnz).astype(np.int64) for s in shape]
+        values = rng.standard_normal(nnz).astype(vdt)
+        dts = (np.float32, np.float32, np.float64, np.float32)
+        mats = [rng.standard_normal((s, 6)).astype(d) for s, d in zip(shape, dts)]
+        cols[3] = mats[3] = None
+        dtype = np.result_type(values, *[u for u in mats if u is not None])
+        for sel in (slice(None), np.sort(rng.choice(nnz, 200, replace=False))):
+            want = broadcast_contributions(cols, values, mats, dtype, sel)
+            got = _row_contributions(cols, values, mats, sel, np.empty(want.shape, dtype))
+            np.testing.assert_array_equal(got, want, strict=True)
+
+
+class TestBlockedLowering:
+    """Owner ranges and the ``sort`` contributions run in blocks of
+    ``plans._SCATTER_BLOCK`` entries over per-thread buffers; block
+    boundaries must not change a bit, and a warm call must not allocate
+    contribution arrays that grow with the tensor."""
+
+    @pytest.mark.parametrize("vdt,mdt", [(np.float32, np.float32), (np.float32, np.float64),
+                                         (np.float64, np.float32)])
+    def test_tiny_blocks_give_the_same_bits(self, vdt, mdt, monkeypatch):
+        import repro.kernels.plans as plans
+
+        x = COOTensor.random((40, 30, 20), nnz=900, rng=21)
+        x = COOTensor(x.shape, x.indices, x.values.astype(vdt))
+        h = HiCOOTensor.from_coo(x, 4)
+        mats = [m.astype(mdt) for m in random_mats(x.shape, 5, seed=22)]
+        omp = OpenMPBackend(nthreads=3)
+        cases = [
+            (f, t, mode, method, be)
+            for f, t in ((coo_mttkrp, x), (hicoo_mttkrp, h))
+            for mode in range(3)
+            for method in ("atomic", "sort", "owner")
+            for be in ("sequential", omp)
+        ]
+        try:
+            want = [f(t, mats, mode, be, method=method) for f, t, mode, method, be in cases]
+            monkeypatch.setattr(plans, "_SCATTER_BLOCK", 7)
+            for case, w in zip(cases, want):
+                f, t, mode, method, be = case
+                np.testing.assert_array_equal(f(t, mats, mode, be, method=method), w, strict=True)
+        finally:
+            omp.shutdown()
+
+    def test_thread_buffers_are_reused_per_thread(self):
+        import threading
+
+        from repro.kernels.plans import thread_buffer
+
+        a = thread_buffer("test", (6, 4), np.float64)
+        b = thread_buffer("test", (3, 4), np.float64)
+        assert b.shape == (3, 4) and np.shares_memory(a, b)
+        assert not np.shares_memory(a, thread_buffer("test", (6, 4), np.float32))
+        grown = thread_buffer("test", (20, 4), np.float64)
+        assert grown.shape == (20, 4) and not np.shares_memory(a, grown)
+        other = []
+        t = threading.Thread(target=lambda: other.append(thread_buffer("test", (3, 4), np.float64)))
+        t.start()
+        t.join()
+        assert not np.shares_memory(other[0], grown)
+
+    def test_warm_call_allocates_no_contribution_arrays(self):
+        import tracemalloc
+
+        rank, nnz = 32, 60_000
+        x = COOTensor.random((400, 300, 200), nnz=nnz, rng=23)
+        mats = random_mats(x.shape, rank, seed=24)
+        omp = OpenMPBackend(nthreads=2)
+        try:
+            for mode in range(3):
+                coo_mttkrp(x, mats, mode, omp)  # plans and thread buffers
+            tracemalloc.start()
+            try:
+                for mode in range(3):
+                    coo_mttkrp(x, mats, mode, omp)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        finally:
+            omp.shutdown()
+        # One contribution array of a whole owner range would take
+        # nnz / 2 * rank * 8 bytes (7.7 MB); warm calls allocate the
+        # outputs and per-block index gathers only.
+        assert peak < nnz // 2 * rank * 8 // 2
