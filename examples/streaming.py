@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Streaming ingestion, locality reordering and format auto-tuning.
+"""Streaming ingestion, locality reordering and a sliding window.
 
 An end-to-end pipeline on the suite's "extension" subsystems:
 
@@ -7,19 +7,15 @@ An end-to-end pipeline on the suite's "extension" subsystems:
    (duplicate events accumulate);
 2. inspect the hub structure, reorder for locality and compare the
    HiCOO blocking quality before/after;
-3. ask the tuner which format/block size suits an Mttkrp-heavy workload;
-4. track a sliding window over the stream — the anomaly-detection state
+3. track a sliding window over the stream — the anomaly-detection state
    pattern from the paper's application list.
 
-Run:  python examples/streaming_and_tuning.py
+Run:  python examples/streaming.py
 """
-
-import numpy as np
 
 from repro.generate import degree_distribution, powerlaw_stream
 from repro.sptensor import blocking_quality, degree_reorder
 from repro.stream import SlidingWindowTensor, StreamingTensorBuilder
-from repro.tune import recommend_format
 from repro.util.tables import render_table
 
 SHAPE = (8000, 8000, 24)
@@ -59,15 +55,9 @@ def main() -> None:
     ))
     assert after["nblocks"] <= before["nblocks"]
 
-    # 3. Format auto-tuning.
-    print()
-    rec = recommend_format(reordered, kernels=["mttkrp", "ttv"])
-    print(rec)
-
-    # 4. Sliding-window state.
+    # 3. Sliding-window state.
     print()
     window = SlidingWindowTensor(SHAPE, window=4)
-    rng = np.random.default_rng(5)
     sizes = []
     for coords, values in powerlaw_stream(
         20_000, SHAPE, dense_modes=(2,), seed=13, batch=2500

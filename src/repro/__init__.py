@@ -43,7 +43,6 @@ from repro.sptensor import (
 from repro.kernels import mttkrp, tew, ts, ttm, ttv
 from repro.parallel import OpenMPBackend, SequentialBackend, get_backend
 from repro.stream import SlidingWindowTensor, StreamingTensorBuilder
-from repro.tune import recommend_block_size, recommend_format
 from repro.validate import validate_tensor
 
 __version__ = "1.0.0"
@@ -78,8 +77,6 @@ __all__ = [
     "get_backend",
     "StreamingTensorBuilder",
     "SlidingWindowTensor",
-    "recommend_format",
-    "recommend_block_size",
     "validate_tensor",
     "__version__",
 ]

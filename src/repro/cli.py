@@ -745,23 +745,6 @@ def _cmd_ingest_bench(args) -> int:
     return rc
 
 
-def _cmd_tune(args) -> int:
-    from repro.roofline import get_platform
-    from repro.sptensor import load_npz, read_tns
-    from repro.tune import recommend_format
-
-    tensor = (
-        load_npz(args.input)
-        if args.input.endswith(".npz")
-        else read_tns(args.input)
-    )
-    rec = recommend_format(
-        tensor, kernels=args.kernels, platform=get_platform(args.platform)
-    )
-    print(rec)
-    return 0
-
-
 def _cmd_selfcheck(args) -> int:
     from repro.sptensor import COOTensor, load_npz, read_tns
     from repro.validate import validate_tensor
@@ -1194,18 +1177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("-o", "--output", help="output .tns or .npz path")
     p_conv.add_argument("--block-size", type=int, default=128)
     p_conv.set_defaults(func=_cmd_convert)
-
-    p_tune = sub.add_parser(
-        "tune",
-        help="recommend a format and block size for a tensor file",
-    )
-    p_tune.add_argument("input", help=".tns or .npz file")
-    p_tune.add_argument(
-        "--kernels", nargs="+", default=["mttkrp"],
-        choices=["tew", "ts", "ttv", "ttm", "mttkrp"],
-    )
-    p_tune.add_argument("--platform", default="Bluesky")
-    p_tune.set_defaults(func=_cmd_tune)
 
     p_check = sub.add_parser(
         "selfcheck",

@@ -9,14 +9,6 @@ from repro.gpu.costmodel import (
     memory_time,
 )
 from repro.gpu.device import DEVICES, P100, V100, DeviceSpec, get_device
-from repro.gpu.multigpu import (
-    MultiGpuResult,
-    allreduce_time,
-    multi_gpu_mttkrp,
-    multi_gpu_ttv,
-    partition_by_nnz,
-    scaling_sweep,
-)
 from repro.gpu.kernels import (
     GpuRunResult,
     gpu_coo_mttkrp,
@@ -58,10 +50,4 @@ __all__ = [
     "ttv_timing",
     "ttm_timing",
     "mttkrp_timing",
-    "MultiGpuResult",
-    "multi_gpu_mttkrp",
-    "multi_gpu_ttv",
-    "partition_by_nnz",
-    "allreduce_time",
-    "scaling_sweep",
 ]

@@ -38,10 +38,6 @@ from repro.kernels.contract import (
     declares_output,
     output_contract,
     registered_contracts,
-    sparse_contract,
-    sparse_inner,
-    sparse_ttm,
-    sparse_ttv,
 )
 from repro.kernels.csf import csf_mttkrp, csf_ttv
 from repro.kernels.scoo_ttm import scoo_ttm, scoo_ttm_chain
@@ -119,10 +115,6 @@ __all__ = [
     "hicoo_mttkrp",
     "csf_ttv",
     "csf_mttkrp",
-    "sparse_contract",
-    "sparse_inner",
-    "sparse_ttv",
-    "sparse_ttm",
     "Access",
     "OutputContract",
     "declares_output",

@@ -1,6 +1,5 @@
 """Sparse tensor formats: COO, sCOO, HiCOO, gHiCOO, sHiCOO, CSF."""
 
-from repro.sptensor.bcsf import BCSFTensor, VirtualRoot, bcsf_mttkrp
 from repro.sptensor.coo import COOTensor, stack_entries
 from repro.sptensor.convert import as_format, to_coo
 from repro.sptensor.csf import CSFTensor
@@ -53,9 +52,6 @@ __all__ = [
     "SemiCOOTensor",
     "SemiHiCOOTensor",
     "CSFTensor",
-    "BCSFTensor",
-    "VirtualRoot",
-    "bcsf_mttkrp",
     "as_format",
     "to_coo",
     "unfold",

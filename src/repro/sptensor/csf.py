@@ -62,10 +62,17 @@ class CSFTensor:
         for lvl in range(n - 1):
             if len(self.fptr[lvl]) != len(self.fids[lvl]) + 1:
                 raise ShapeError(f"fptr[{lvl}] must have len(fids[{lvl}])+1 entries")
-            if self.fptr[lvl][-1] != len(self.fids[lvl + 1]):
+            ptr = self.fptr[lvl]
+            if ptr[0] != 0 or ptr[-1] != len(self.fids[lvl + 1]):
                 raise ShapeError(f"fptr[{lvl}] must span level {lvl + 1}")
+            if (np.diff(ptr) < 0).any():
+                raise ShapeError(f"fptr[{lvl}] must be non-decreasing")
         if len(self.values) != len(self.fids[-1]):
             raise ShapeError("values must align with the leaf level")
+        for lvl, fids in enumerate(self.fids):
+            dim = self.shape[self.mode_order[lvl]]
+            if fids.size and (int(fids.min()) < 0 or int(fids.max()) >= dim):
+                raise ShapeError(f"fids[{lvl}] must lie in [0, {dim})")
 
     # ------------------------------------------------------------------ #
     @property

@@ -33,6 +33,7 @@ from repro.sptensor.coo import COOTensor
 from repro.util.bits import ilog2, is_pow2
 from repro.util.morton import morton_encode
 from repro.util.sorting import stable_argsort
+from repro.util.validation import check_indices_in_bounds
 
 
 def _hicoo_sort_order(bcoords: np.ndarray, ecoords: np.ndarray) -> np.ndarray:
@@ -105,9 +106,11 @@ class HiCOOTensor:
         # tensor's lifetime.
         self._plan_cache: dict = {}
         if check:
-            self._validate()
+            self._validate(np.asarray(einds))
 
-    def _validate(self) -> None:
+    def _validate(self, raw_einds: np.ndarray) -> None:
+        """Check the arrays; ``raw_einds`` are the element indices as
+        passed, before the 8-bit cast could wrap an out-of-range one."""
         n = len(self.shape)
         if self.binds.ndim != 2 or self.binds.shape[1] != n:
             raise ShapeError(f"binds must be (nb, {n}), got {self.binds.shape}")
@@ -122,8 +125,21 @@ class HiCOOTensor:
             raise ShapeError("bptr must span [0, nnz]")
         if (np.diff(self.bptr) < 0).any():
             raise ShapeError("bptr must be non-decreasing")
-        if self.einds.size and int(self.einds.max()) >= self.block_size:
-            raise ShapeError("element index exceeds block size")
+        if len(self.einds) != len(self.values):
+            raise ShapeError("einds must have one row per value")
+        if raw_einds.size and (
+            int(raw_einds.min()) < 0 or int(raw_einds.max()) >= self.block_size
+        ):
+            raise ShapeError("element index outside [0, block size)")
+        # Block coordinates must lie on the block grid, and every entry's
+        # global coordinate ``bind * B + eind`` inside the shape.
+        grid = [-(-s // self.block_size) for s in self.shape]
+        check_indices_in_bounds(self.binds, grid)
+        bid = np.repeat(np.arange(self.nblocks), np.diff(self.bptr))
+        check_indices_in_bounds(
+            self.binds[bid].astype(np.int64) * self.block_size + self.einds,
+            self.shape,
+        )
 
     # ------------------------------------------------------------------ #
     @property

@@ -90,7 +90,6 @@ def load_npz(path) -> COOTensor:
             data["indices"],
             data["values"],
             copy=True,
-            check=False,
         )
 
 
@@ -123,7 +122,6 @@ def load_hicoo_npz(path):
             data["binds"],
             data["einds"],
             data["values"],
-            check=False,
         )
 
 
@@ -157,7 +155,6 @@ def load_csf_npz(path):
             [data[f"fptr{lvl}"] for lvl in range(n - 1)],
             [data[f"fids{lvl}"] for lvl in range(n)],
             data["values"],
-            check=False,
         )
 
 

@@ -105,19 +105,7 @@ class TestSelfcheck:
         assert "PASSED" in capsys.readouterr().out
 
 
-class TestTune:
-    def test_tune_file(self, tmp_path, capsys):
-        src = tmp_path / "t.npz"
-        main([
-            "generate", "--kind", "pl", "--shape", "400", "400", "8",
-            "--nnz", "1500", "--dense-modes", "2", "-o", str(src),
-        ])
-        capsys.readouterr()
-        assert main(["tune", str(src), "--kernels", "mttkrp", "ttv"]) == 0
-        out = capsys.readouterr().out
-        assert "recommended format" in out
-        assert "coo" in out and "hicoo" in out
-
+class TestChart:
     def test_chart_flag(self, capsys):
         rc = main([
             "bench", "--exp", "fig4", "--scale", "20000",

@@ -20,8 +20,7 @@ FAST_EXAMPLES = [
     "tucker_ttm_chain.py",
     "synthetic_datasets.py",
     "roofline_analysis.py",
-    "streaming_and_tuning.py",
-    "locality_study.py",
+    "streaming.py",
 ]
 
 

@@ -20,9 +20,9 @@ from repro.sptensor import (
     as_format,
     degree_reorder,
     read_tns,
+    to_coo,
     write_tns,
 )
-from repro.tune import recommend_format
 from repro.validate import validate_tensor
 
 
@@ -54,25 +54,19 @@ class TestGenerateToDecompose:
             csf_mttkrp(CSFTensor.from_coo(back), mats, 0), want, rtol=1e-8
         )
 
-    def test_reorder_then_tune_then_run(self):
-        """Stream-shaped tensor -> degree reorder -> tuner -> runner."""
+    def test_reorder_then_run(self):
+        """Stream-shaped tensor -> degree reorder -> both formats -> runner."""
         t = powerlaw_tensor((3000, 3000, 16), 15_000, dense_modes=(2,), seed=6)
         reordered, _ = degree_reorder(t)
-        rec = recommend_format(reordered, kernels=["mttkrp", "ttv"])
-        fmt = rec.fmt.value
-        converted = as_format(reordered, fmt, block_size=rec.block_size)
+        for fmt in ("coo", "hicoo"):
+            converted = as_format(reordered, fmt)
+            assert to_coo(converted).allclose(reordered)
         runner = SuiteRunner(
             BLUESKY, RunnerConfig(measure_host=False, cache_scale=2000)
         )
         records = runner.run_tensor("pipeline", reordered)
         assert len(records) == 10
         assert all(r.gflops > 0 for r in records)
-        # the recommended format's Mttkrp should not be slower than the
-        # alternative by more than the model's margin
-        by = {(r.kernel, r.fmt): r.seconds for r in records}
-        chosen = by[("mttkrp", fmt)]
-        other = by[("mttkrp", "hicoo" if fmt == "coo" else "coo")]
-        assert chosen <= other * 1.25
 
     def test_roofline_consistency_with_runner(self):
         """The runner's bound must equal the model's bound for the same

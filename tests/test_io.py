@@ -129,3 +129,65 @@ class TestNpz:
         back = load_npz(p)
         assert back.shape == (7, 8)
         assert back.nnz == 0
+
+
+def _tamper(path, **changes):
+    """Rewrite the ``.npz`` at ``path`` with some arrays replaced."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    arrays.update(changes)
+    np.savez(path, **arrays)
+
+
+class TestTamperedFiles:
+    """The loaders validate what they read: a file that was edited or
+    written by another tool fails with ``ShapeError`` instead of loading
+    an out-of-shape tensor."""
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_coo_index_outside_shape(self, tmp_path, bad):
+        p = tmp_path / "t.npz"
+        save_npz(COOTensor((5, 5), [[0, 1], [2, 3]], [1.0, 2.0]), p)
+        _tamper(p, indices=np.array([[0, 1], [bad, 3]], dtype=np.int64))
+        with pytest.raises(ShapeError):
+            load_npz(p)
+
+    @pytest.mark.parametrize(
+        "shape, binds, einds",
+        [
+            ((8, 8, 8), [[0, 0, 0]], [[200, 0, 0]]),  # eind >= B
+            ((8, 8, 8), [[0, 0, 0]], [[256, 0, 0]]),  # wraps to 0 in 8 bits
+            ((8, 8, 8), [[2, 0, 0]], [[0, 0, 0]]),  # block off the grid
+            ((6, 8, 8), [[1, 0, 0]], [[3, 0, 0]]),  # 1 * 4 + 3 >= 6
+        ],
+        ids=["eind-over-block", "eind-wraps", "block-off-grid", "entry-past-edge"],
+    )
+    def test_hicoo_entry_outside_shape(self, tmp_path, shape, binds, einds):
+        p = tmp_path / "h.npz"
+        coo = COOTensor(shape, [[0, 0, 0]], [1.0])
+        save_hicoo_npz(HiCOOTensor.from_coo(coo, 4), p)
+        _tamper(
+            p,
+            binds=np.array(binds, dtype=np.uint32),
+            einds=np.array(einds, dtype=np.int64),
+        )
+        with pytest.raises(ShapeError):
+            load_hicoo_npz(p)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"fids2": np.array([0, 9])},  # leaf id >= its dimension
+            {"fids0": np.array([-1])},
+            {"fptr0": np.array([0, 3])},  # does not span level 1
+            {"values": np.array([1.0])},  # one value short
+        ],
+        ids=["leaf-id", "negative-id", "fptr-span", "values-short"],
+    )
+    def test_csf_bad_tree(self, tmp_path, changes):
+        p = tmp_path / "c.npz"
+        coo = COOTensor((3, 4, 5), [[1, 2, 0], [1, 2, 4]], [1.0, 2.0])
+        save_csf_npz(CSFTensor.from_coo(coo), p)
+        _tamper(p, **changes)
+        with pytest.raises(ShapeError):
+            load_csf_npz(p)
